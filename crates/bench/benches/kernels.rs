@@ -2,9 +2,10 @@
 //! five hot compute primitives behind the backend seam.
 //!
 //! Each cell measures one entry point — `matmul`, `t_matmul`, `matmul_t`,
-//! `gram`, and the fused dense 3-mode MTTKRP — at the paper's working
-//! rank (F = 16) on Phase-2-representative shapes, for both backends at
-//! 1 and 4 threads. The two backends are bitwise-identical by contract
+//! `gram`, the fused dense 3-mode MTTKRP, and the order-4 MTTKRP per mode
+//! (folded onto the same 3-way kernel) — at the paper's working rank
+//! (F = 16) on Phase-2-representative shapes, for both backends at 1 and 4
+//! threads. The two backends are bitwise-identical by contract
 //! (pinned by the `kernel_equiv` suites), so the ratio is pure speed.
 //!
 //! A one-shot accounted pass per cell is written to `BENCH_kernels.json`
@@ -30,6 +31,15 @@ const RANK: usize = 16;
 const ROWS: usize = 960;
 /// Dense cube side for the fused MTTKRP (a Phase-1 block).
 const DIM: usize = 48;
+/// Side of the order-4 MTTKRP block (a 40⁴ tensor on a 2⁴ grid).
+const DIM4: usize = 20;
+/// Per-mode names of the order-4 MTTKRP cells.
+const MTTKRP4_OPS: [&str; 4] = [
+    "mttkrp4_mode0",
+    "mttkrp4_mode1",
+    "mttkrp4_mode2",
+    "mttkrp4_mode3",
+];
 
 /// One artifact line: a cell name and its measured quantities.
 struct Cell {
@@ -56,8 +66,8 @@ fn write_artifact(cells: &[Cell]) {
         "  \"notes\": \"ratio = reference_ns / tiled_ns (higher is better for the \
          tiled backend). GFLOP/s are nominal: 2mkn for the products, 2mk^2 for \
          gram (full, though tiled computes half and mirrors), 2|X|F for the \
-         fused MTTKRP. Backends are bitwise-identical by contract, so the \
-         ratio is pure speed.\"\n",
+         fused MTTKRP of every order. Backends are bitwise-identical by \
+         contract, so the ratio is pure speed.\"\n",
     );
     out.push_str("}\n");
     match std::fs::write(ARTIFACT_PATH, &out) {
@@ -87,6 +97,8 @@ struct Fixtures {
     b_tall: Mat,    // ROWS × RANK: second tall operand for t_matmul
     x: DenseTensor, // DIM³ dense block
     factors: Vec<Mat>,
+    x4: DenseTensor, // DIM4⁴ dense block
+    factors4: Vec<Mat>,
 }
 
 fn fixtures() -> Fixtures {
@@ -97,6 +109,10 @@ fn fixtures() -> Fixtures {
         b_tall: random_factor(ROWS, RANK, &mut rng),
         x: tpcp_tensor::random_dense(&[DIM, DIM, DIM], &mut rng),
         factors: (0..3).map(|_| random_factor(DIM, RANK, &mut rng)).collect(),
+        x4: tpcp_tensor::random_dense(&[DIM4; 4], &mut rng),
+        factors4: (0..4)
+            .map(|_| random_factor(DIM4, RANK, &mut rng))
+            .collect(),
     }
 }
 
@@ -107,7 +123,7 @@ type Op<'a> = (&'static str, f64, Box<dyn Fn(&ParConfig, KernelKind) + 'a>);
 fn ops(fx: &Fixtures) -> Vec<Op<'_>> {
     let refs: Vec<&Mat> = fx.factors.iter().collect();
     let mkn = (ROWS * RANK * RANK) as f64;
-    vec![
+    let mut ops: Vec<Op<'_>> = vec![
         (
             "matmul",
             2.0 * mkn,
@@ -143,7 +159,18 @@ fn ops(fx: &Fixtures) -> Vec<Op<'_>> {
                 black_box(mttkrp_dense_kernel(&fx.x, &refs, 0, par, kind).unwrap());
             }),
         ),
-    ]
+    ];
+    for (mode, name) in MTTKRP4_OPS.into_iter().enumerate() {
+        let refs4: Vec<&Mat> = fx.factors4.iter().collect();
+        ops.push((
+            name,
+            2.0 * fx.x4.len() as f64 * RANK as f64,
+            Box::new(move |par: &ParConfig, kind: KernelKind| {
+                black_box(mttkrp_dense_kernel(&fx.x4, &refs4, mode, par, kind).unwrap());
+            }),
+        ));
+    }
+    ops
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -160,7 +187,7 @@ fn bench_kernels(c: &mut Criterion) {
                 let label = kind.label();
                 let name = format!("{op}_{label}_t{threads}");
                 group.bench_function(name.as_str(), |b| b.iter(|| run(&par, kind)));
-                let iters = if op == "mttkrp" { 10 } else { 40 };
+                let iters = if op.starts_with("mttkrp") { 10 } else { 40 };
                 ns[slot] = measure_ns(iters, || run(&par, kind));
                 let gflops = flops / ns[slot];
                 eprintln!(

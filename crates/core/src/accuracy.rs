@@ -7,7 +7,7 @@
 //! accuracy figures (Figure 13) report.
 
 use crate::Result;
-use tpcp_cp::CpModel;
+use tpcp_cp::{residual_sq, CpModel};
 use tpcp_linalg::Mat;
 use tpcp_partition::{Block, BlockSource, Grid};
 use tpcp_tensor::{DenseTensor, SparseTensor};
@@ -86,7 +86,7 @@ impl FitAcc {
     }
 
     fn push(&mut self, b_sq: f64, inner: f64, m_sq: f64) {
-        self.err_sq += (b_sq - 2.0 * inner + m_sq).max(0.0);
+        self.err_sq += residual_sq(b_sq, inner, m_sq);
         self.x_sq += b_sq;
     }
 
@@ -212,6 +212,25 @@ mod tests {
         let mut ssrc = tpcp_partition::SparseMemorySource::new(&sp);
         let sparse_streamed = blockwise_fit_source(&model, &grid, &mut ssrc).unwrap();
         assert!((streamed - sparse_streamed).abs() < 1e-9);
+    }
+
+    #[test]
+    fn streaming_fit_over_order4_file_matches_exact_fit() {
+        let (model, mut x) = model_and_tensor(&[6, 5, 4, 6], 3, 8);
+        for v in x.as_mut_slice().iter_mut().step_by(4) {
+            *v -= 0.3;
+        }
+        let dir = std::env::temp_dir().join(format!("tpcp_fit4_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("x.tpcp");
+        tpcp_partition::FileTensorSource::write_dense(&path, &x).unwrap();
+        let mut src = tpcp_partition::FileTensorSource::open(&path).unwrap();
+        let grid = Grid::new(x.dims(), &[2, 2, 1, 3]);
+        let streamed = blockwise_fit_source(&model, &grid, &mut src).unwrap();
+        let exact = exact_fit_dense(&model, &x).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(exact < 0.999, "the perturbation must show: {exact}");
+        assert!((streamed - exact).abs() < 1e-12, "{streamed} vs {exact}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ pub use compress::{
     COMPRESS_ENV_VAR,
 };
 pub use dimtree::{dimtree_auto, per_mode_sweep_flops, DimTree, SweepSequence, DIMTREE_ENV_VAR};
-pub use model::CpModel;
+pub use model::{residual_sq, CpModel};
 pub use mttkrp::{
     mttkrp_dense, mttkrp_dense_kernel, mttkrp_dense_par, mttkrp_sparse, mttkrp_sparse_par,
 };

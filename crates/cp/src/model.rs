@@ -1,6 +1,6 @@
 //! The CP model: weighted rank-one components.
 
-use crate::{CpError, Result};
+use crate::{mttkrp_dense, CpError, Result};
 use tpcp_linalg::{hadamard_all, Mat};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
@@ -96,34 +96,25 @@ impl CpModel {
         total.max(0.0)
     }
 
-    /// Inner product `⟨X, X̃⟩` against a dense tensor.
+    /// Inner product `⟨X, X̃⟩` against a dense tensor, through the fused
+    /// dense MTTKRP: `Σ_i Σ_s M₀[i,s] · A⁽⁰⁾[i,s] · λ_s` with
+    /// `M₀ = X_(0) · KR(A⁽¹⁾, …)`. An order-0 model is zero, as in
+    /// [`CpModel::norm_sq`].
     ///
     /// # Errors
     /// [`CpError::BadFactors`] when shapes disagree.
     pub fn inner_dense(&self, x: &DenseTensor) -> Result<f64> {
         self.check_dims(x.dims())?;
-        let order = self.order();
-        let f = self.rank();
-        let dims = x.dims();
+        let Some(a0) = self.factors.first() else {
+            return Ok(0.0);
+        };
+        let refs: Vec<&Mat> = self.factors.iter().collect();
+        let m0 = mttkrp_dense(x, &refs, 0)?;
         let mut total = 0.0;
-        let mut coords = vec![0usize; order];
-        let mut prod = vec![0.0f64; f];
-        for (lin, &v) in x.as_slice().iter().enumerate() {
-            if v == 0.0 {
-                continue;
+        for i in 0..m0.rows() {
+            for ((&m, &a), &w) in m0.row(i).iter().zip(a0.row(i)).zip(&self.weights) {
+                total += m * a * w;
             }
-            let mut rem = lin;
-            for m in (0..order).rev() {
-                coords[m] = rem % dims[m];
-                rem /= dims[m];
-            }
-            prod.copy_from_slice(&self.weights);
-            for (m, &c) in coords.iter().enumerate() {
-                for (p, &a) in prod.iter_mut().zip(self.factors[m].row(c)) {
-                    *p *= a;
-                }
-            }
-            total += v * prod.iter().sum::<f64>();
         }
         Ok(total)
     }
@@ -209,11 +200,30 @@ impl CpModel {
     }
 }
 
-/// `1 − sqrt(max(0, ‖X‖² − 2⟨X,X̃⟩ + ‖X̃‖²)) / ‖X‖`, guarding degenerate
-/// zero-norm inputs (fit of anything against the zero tensor is 1 iff the
-/// model is also zero).
+/// Rounding floor of the residual identity, in units of `ε·(‖X‖² +
+/// 2|⟨X,X̃⟩| + ‖X̃‖²)`; see [`residual_sq`].
+const RESIDUAL_FLOOR_ULPS: f64 = 32.0;
+
+/// `‖X − X̃‖² = ‖X‖² − 2⟨X,X̃⟩ + ‖X̃‖²`, reported as zero when it lies
+/// within the identity's rounding floor. Below
+/// `32·ε·(‖X‖² + 2|⟨X,X̃⟩| + ‖X̃‖²)` the three-term sum cannot tell a
+/// residual from cancellation noise: a one-ulp change in how `⟨X,X̃⟩` is
+/// summed would otherwise move the fit of an exact model by `~√ε`.
+pub fn residual_sq(x_sq: f64, inner: f64, model_sq: f64) -> f64 {
+    let err_sq = x_sq - 2.0 * inner + model_sq;
+    let floor = RESIDUAL_FLOOR_ULPS * f64::EPSILON * (x_sq + 2.0 * inner.abs() + model_sq);
+    if err_sq <= floor {
+        0.0
+    } else {
+        err_sq
+    }
+}
+
+/// `1 − sqrt(residual_sq) / ‖X‖` (see [`residual_sq`]), guarding
+/// degenerate zero-norm inputs (fit of anything against the zero tensor is
+/// 1 iff the model is also zero).
 pub(crate) fn fit_from_parts(x_sq: f64, inner: f64, model_sq: f64) -> f64 {
-    let err_sq = (x_sq - 2.0 * inner + model_sq).max(0.0);
+    let err_sq = residual_sq(x_sq, inner, model_sq);
     if x_sq <= 0.0 {
         return if model_sq <= 1e-30 {
             1.0
@@ -269,6 +279,50 @@ mod tests {
         let recon = m.reconstruct_dense();
         // ⟨X̃, X̃⟩ must equal ‖X̃‖².
         assert!((m.inner_dense(&recon).unwrap() - m.norm_sq()).abs() < 1e-9);
+    }
+
+    /// A random rank-3 model over `dims` and an unrelated random tensor.
+    fn random_model_and_tensor(dims: &[usize], seed: u64) -> (CpModel, DenseTensor) {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let factors = dims
+            .iter()
+            .map(|&d| tpcp_tensor::random_factor(d, 3, &mut rng))
+            .collect();
+        let model = CpModel::new(vec![1.5, -0.5, 2.0], factors).unwrap();
+        (model, tpcp_tensor::random_dense(dims, &mut rng))
+    }
+
+    #[test]
+    fn inner_and_fit_dense_match_reconstruction_orders_1_to_5() {
+        let shapes: [&[usize]; 5] = [&[7], &[5, 4], &[4, 3, 5], &[3, 4, 2, 3], &[2, 3, 2, 3, 2]];
+        for (seed, dims) in shapes.into_iter().enumerate() {
+            let (m, x) = random_model_and_tensor(dims, seed as u64);
+            let recon = m.reconstruct_dense();
+            let expect: f64 = x
+                .as_slice()
+                .iter()
+                .zip(recon.as_slice())
+                .map(|(a, b)| a * b)
+                .sum();
+            let inner = m.inner_dense(&x).unwrap();
+            assert!(
+                (inner - expect).abs() <= 1e-12 * expect.abs().max(1.0),
+                "dims {dims:?}"
+            );
+            let err_sq: f64 = x
+                .as_slice()
+                .iter()
+                .zip(recon.as_slice())
+                .map(|(a, b)| (a - b) * (a - b))
+                .sum();
+            let expect_fit = 1.0 - err_sq.sqrt() / x.fro_norm_sq().sqrt();
+            let fit = m.fit_dense(&x).unwrap();
+            assert!(
+                (fit - expect_fit).abs() < 1e-10,
+                "dims {dims:?}: {fit} vs {expect_fit}"
+            );
+        }
     }
 
     #[test]

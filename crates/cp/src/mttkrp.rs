@@ -1,32 +1,38 @@
 //! MTTKRP: matricised tensor times Khatri-Rao product.
 //!
-//! `M = X_(n) · KR([A⁽ʰ⁾]_{h≠n})` is the dominant kernel of CP-ALS. Neither
-//! implementation materialises the Khatri-Rao product:
+//! `M = X_(n) · KR([A⁽ʰ⁾]_{h≠n})` is the dominant kernel of CP-ALS.
 //!
-//! * the dense 3-mode path streams contiguous mode-2 fibres and performs a
-//!   small GEMM per fibre (`O(|X|·F)` flops, `O(F)` scratch);
-//! * the generic dense path walks the tensor linearly with an odometer over
-//!   coordinates (no div/mod per element);
-//! * the sparse path accumulates one scaled Hadamard row product per
+//! * The dense path runs every order through one fused 3-way kernel. An
+//!   order-N tensor is *viewed* as 3-way on its own row-major buffer (no
+//!   copy): the modes before and after the target are folded into single
+//!   extents, and only their small Khatri-Rao blocks are materialised (see
+//!   [`mttkrp_dense_kernel`] and `docs/kernels.md`, "Order-N fold"). The
+//!   3-way kernel streams contiguous fibres through the backend's
+//!   [`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`] ops (`O(|X|·F)`
+//!   flops, `O(F)` scratch per worker).
+//! * The sparse path accumulates one scaled Hadamard row product per
 //!   non-zero.
 //!
-//! All three paths are parallel on the shared [`tpcp_par`] budget and
-//! **deterministic**: the fused 3-mode kernel blocks over the *output* mode
-//! (each output row is accumulated by exactly one worker, in serial order),
-//! while the generic and sparse paths reduce per-chunk accumulators over a
-//! chunking that depends only on the input size, merged in ascending chunk
-//! order. Results are therefore bit-identical for any thread count.
+//! Both paths are parallel on the shared [`tpcp_par`] budget and
+//! **deterministic**: the dense kernel blocks over the *output* mode (each
+//! output row is accumulated by exactly one worker, in serial order), while
+//! the sparse path reduces per-chunk accumulators over a chunking that
+//! depends only on `nnz`, merged in ascending chunk order. Results are
+//! therefore bit-identical for any thread count.
+
+use std::borrow::Cow;
+use std::ops::Range;
 
 use crate::{CpError, Result};
-use tpcp_linalg::{Kernel, KernelKind, Mat};
+use tpcp_linalg::{khatri_rao, Kernel, KernelKind, Mat};
 use tpcp_par::{fixed_chunk_size, par_chunks_mut_scratch, par_chunks_reduce_scratch, ParConfig};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
 /// Work (elements × rank) below which a kernel stays on the calling thread.
 const PAR_MIN_WORK: usize = 1 << 13;
 
-/// Reduction chunking for the generic/sparse paths: at least this many
-/// elements (or non-zeros) per chunk…
+/// Reduction chunking for the sparse path: at least this many non-zeros
+/// per chunk…
 const REDUCE_MIN_CHUNK: usize = 512;
 
 /// …and at most this many chunks, bounding accumulator allocations and the
@@ -91,11 +97,22 @@ pub fn mttkrp_dense_par(
 
 /// [`mttkrp_dense`] on an explicit thread budget and kernel backend.
 ///
-/// The backend applies to the fused dense 3-mode path (the per-fibre
-/// [`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`] ops); the generic
-/// N-mode odometer path is backend-independent. All backends are
-/// bit-identical (see `tpcp_linalg::kernel`), so this knob trades speed
-/// only.
+/// Every order runs through the fused 3-way kernel, whose per-fibre
+/// [`Kernel::mttkrp_tile`]/[`Kernel::mttkrp_scatter`] ops the backend
+/// supplies. The order-`N` tensor is viewed as 3-way `[L, M, R]` on its own
+/// buffer, with `KR(·)` the row-major Khatri-Rao product of a mode range:
+///
+/// * mode 0 → `[I₀, I₁, ∏_{h≥2} I_h]` on the 3-way mode-0 path, with
+///   `C = KR(A₂…)`;
+/// * last mode → `[∏_{h<N−2} I_h, I_{N−2}, I_{N−1}]` on the mode-2 path,
+///   with `A = KR(A₀…A_{N−3})`;
+/// * middle mode `n` → `[∏_{h<n} I_h, I_n, ∏_{h>n} I_h]` on the mode-1
+///   path, with `A = KR(left)` and `C = KR(right)`.
+///
+/// A single-factor range is used in place and an empty one is a unit
+/// extent with a ones row (orders 1 and 2), so order 3 runs on the
+/// factors directly. All backends are bit-identical (see
+/// `tpcp_linalg::kernel`), so this knob trades speed only.
 ///
 /// # Errors
 /// [`CpError::BadFactors`] on shape inconsistencies.
@@ -107,36 +124,69 @@ pub fn mttkrp_dense_kernel(
     kind: KernelKind,
 ) -> Result<Mat> {
     let f = check_factors(x.dims(), factors, mode)?;
-    let par = par.clamped(x.len() * f, PAR_MIN_WORK);
-    if x.order() == 3 {
-        return Ok(mttkrp_dense3(x, factors, mode, f, &par, kind.resolve()));
+    let dims = x.dims();
+    if f == 0 || x.is_empty() {
+        return Ok(Mat::zeros(dims[mode], f));
     }
-    Ok(mttkrp_dense_generic(x, factors, mode, f, &par))
+    let par = par.clamped(x.len() * f, PAR_MIN_WORK);
+    let order = dims.len();
+    let ones = Mat::filled(1, f, 1.0);
+    let kr = |modes: Range<usize>| kr_block(&factors[modes], &ones);
+    let extent = |modes: Range<usize>| dims[modes].iter().product::<usize>();
+    let own = factors[mode];
+    let (view, view_mode, a, b, c) = if mode == 0 {
+        let split = order.min(2);
+        let (b, c) = (kr(1..split), kr(split..order));
+        let view = [dims[0], extent(1..split), extent(split..order)];
+        (view, 0, Cow::Borrowed(own), b, c)
+    } else if mode == order - 1 {
+        let (a, b) = (kr(0..order - 2), kr(order - 2..order - 1));
+        let view = [extent(0..order - 2), dims[order - 2], dims[order - 1]];
+        (view, 2, a, b, Cow::Borrowed(own))
+    } else {
+        let (a, c) = (kr(0..mode), kr(mode + 1..order));
+        let view = [extent(0..mode), dims[mode], extent(mode + 1..order)];
+        (view, 1, a, Cow::Borrowed(own), c)
+    };
+    Ok(mttkrp_dense3(
+        x.as_slice(),
+        view,
+        [&*a, &*b, &*c],
+        view_mode,
+        f,
+        &par,
+        kind.resolve(),
+    ))
 }
 
-/// Specialised 3-mode path: iterate `(i, j)` pairs, treating the contiguous
-/// mode-2 fibre `X[i, j, :]` as a vector. Parallelism blocks the *output*
-/// mode: each worker owns a band of output rows and accumulates them in the
-/// same order as the serial sweep, so results are bit-identical for any
-/// thread count.
+/// `KR(factors)` for the order-N fold: a single factor is used in place
+/// and an empty range is the unit extent's ones row.
+fn kr_block<'a>(factors: &[&'a Mat], ones: &'a Mat) -> Cow<'a, Mat> {
+    match factors {
+        [] => Cow::Borrowed(ones),
+        [one] => Cow::Borrowed(*one),
+        many => Cow::Owned(khatri_rao(many).expect("factor ranks validated")),
+    }
+}
+
+/// The fused 3-way kernel over a row-major `[d0, d1, d2]` buffer: iterate
+/// `(i, j)` pairs, treating the contiguous mode-2 fibre `X[i, j, :]` as a
+/// vector. `factors[mode]` is not read, and the view must be non-empty
+/// with `f > 0`. Parallelism blocks the *output* mode: each worker owns a
+/// band of output rows and accumulates them in the same order as the
+/// serial sweep, so results are bit-identical for any thread count.
 fn mttkrp_dense3(
-    x: &DenseTensor,
-    factors: &[&Mat],
+    data: &[f64],
+    [di, dj, dk]: [usize; 3],
+    factors: [&Mat; 3],
     mode: usize,
     f: usize,
     par: &ParConfig,
     kernel: &dyn Kernel,
 ) -> Mat {
-    let dims = x.dims();
-    let (di, dj, dk) = (dims[0], dims[1], dims[2]);
-    let mut out = Mat::zeros(dims[mode], f);
-    if f == 0 || out.is_empty() {
-        return out;
-    }
-    let data = x.as_slice();
-    let chunk_rows = dims[mode]
-        .div_ceil(par.threads().min(dims[mode]).max(1))
-        .max(1);
+    let rows = [di, dj, dk][mode];
+    let mut out = Mat::zeros(rows, f);
+    let chunk_rows = rows.div_ceil(par.threads().min(rows));
     match mode {
         0 => {
             // M[i] += (X[i,j,:] · C) ⊛ B[j]
@@ -212,82 +262,6 @@ fn mttkrp_dense3(
         }
     }
     out
-}
-
-/// Row-major coordinates of linear element `idx` (last mode fastest).
-#[cfg(test)]
-fn linear_to_coords(idx: usize, dims: &[usize]) -> Vec<usize> {
-    let mut coords = vec![0usize; dims.len()];
-    linear_to_coords_into(idx, dims, &mut coords);
-    coords
-}
-
-/// [`linear_to_coords`] into a caller-owned buffer (worker-local scratch).
-fn linear_to_coords_into(mut idx: usize, dims: &[usize], coords: &mut [usize]) {
-    for (c, &d) in coords.iter_mut().zip(dims).rev() {
-        *c = idx % d;
-        idx /= d;
-    }
-}
-
-/// Generic N-mode dense path with an incremental coordinate odometer,
-/// parallelised as a fixed-chunk ordered reduction over the element range
-/// (chunk boundaries depend only on the tensor size, so results are
-/// bit-identical for any thread count).
-fn mttkrp_dense_generic(
-    x: &DenseTensor,
-    factors: &[&Mat],
-    mode: usize,
-    f: usize,
-    par: &ParConfig,
-) -> Mat {
-    let dims = x.dims();
-    let order = dims.len();
-    let n = x.len();
-    if n == 0 {
-        return Mat::zeros(dims[mode], f);
-    }
-    let data = x.as_slice();
-    let chunk = fixed_chunk_size(n, REDUCE_MIN_CHUNK, REDUCE_MAX_CHUNKS);
-    par_chunks_reduce_scratch(
-        par,
-        n,
-        chunk,
-        || Mat::zeros(dims[mode], f),
-        || (vec![0usize; order], vec![0.0f64; f]),
-        |range, acc, (coords, prod)| {
-            linear_to_coords_into(range.start, dims, coords);
-            for &v in &data[range] {
-                if v != 0.0 {
-                    prod.fill(v);
-                    for (h, &c) in coords.iter().enumerate() {
-                        if h == mode {
-                            continue;
-                        }
-                        for (p, &a) in prod.iter_mut().zip(factors[h].row(c)) {
-                            *p *= a;
-                        }
-                    }
-                    let out_row = acc.row_mut(coords[mode]);
-                    for (o, &p) in out_row.iter_mut().zip(prod.iter()) {
-                        *o += p;
-                    }
-                }
-                // Odometer increment (row-major, last mode fastest).
-                for m in (0..order).rev() {
-                    coords[m] += 1;
-                    if coords[m] < dims[m] {
-                        break;
-                    }
-                    coords[m] = 0;
-                }
-            }
-        },
-        |mut a, b| {
-            a.add_assign(&b).expect("accumulator shapes agree");
-            a
-        },
-    )
 }
 
 /// Sparse (COO) MTTKRP for mode `mode`, computed on the shared automatic
@@ -396,28 +370,63 @@ mod tests {
     }
 
     #[test]
-    fn dense_generic_matches_reference_4mode() {
-        let (t, factors) = rand_tensor_and_factors(&[3, 2, 4, 2], 3, 5);
-        let refs: Vec<&Mat> = factors.iter().collect();
-        for mode in 0..4 {
-            let fast = mttkrp_dense(&t, &refs, mode).unwrap();
-            let slow = reference_mttkrp(&t, &refs, mode);
-            assert!(
-                fast.max_abs_diff(&slow).unwrap() < 1e-10,
-                "mode {mode} diverges"
-            );
+    fn dense_fold_matches_reference_orders_4_and_5() {
+        for (dims, seed) in [(&[3usize, 2, 4, 2][..], 5u64), (&[2, 3, 2, 3, 2][..], 6)] {
+            let (t, factors) = rand_tensor_and_factors(dims, 3, seed);
+            let refs: Vec<&Mat> = factors.iter().collect();
+            for mode in 0..dims.len() {
+                let fast = mttkrp_dense(&t, &refs, mode).unwrap();
+                let slow = reference_mttkrp(&t, &refs, mode);
+                assert!(
+                    fast.max_abs_diff(&slow).unwrap() < 1e-10,
+                    "dims {dims:?} mode {mode} diverges"
+                );
+            }
         }
     }
 
     #[test]
-    fn dense_generic_matches_2mode_matrix_product() {
-        // For a matrix, MTTKRP over mode 0 is X · B.
-        let (t, factors) = rand_tensor_and_factors(&[4, 3], 2, 7);
+    fn dense_order1_is_the_vector_in_every_column() {
+        // An order-1 MTTKRP has an empty Khatri-Rao product: M[i, s] = x[i].
+        let (t, factors) = rand_tensor_and_factors(&[6], 3, 9);
         let refs: Vec<&Mat> = factors.iter().collect();
         let fast = mttkrp_dense(&t, &refs, 0).unwrap();
-        let x = t.unfold(0).unwrap();
-        let expect = x.matmul(&factors[1]).unwrap();
-        assert!(fast.max_abs_diff(&expect).unwrap() < 1e-10);
+        assert_eq!(fast.shape(), (6, 3));
+        for (i, &v) in t.as_slice().iter().enumerate() {
+            assert!(fast.row(i).iter().all(|&m| m == v), "row {i}");
+        }
+    }
+
+    #[test]
+    fn dense_order2_matches_reference_both_modes() {
+        // For a matrix, MTTKRP over mode 0 is X · B and over mode 1 is Xᵀ · A.
+        let (t, factors) = rand_tensor_and_factors(&[4, 3], 2, 7);
+        let refs: Vec<&Mat> = factors.iter().collect();
+        for mode in 0..2 {
+            let fast = mttkrp_dense(&t, &refs, mode).unwrap();
+            let slow = reference_mttkrp(&t, &refs, mode);
+            assert!(fast.max_abs_diff(&slow).unwrap() < 1e-10, "mode {mode}");
+        }
+    }
+
+    #[test]
+    fn dense_zero_extent_mode_gives_zero_rows() {
+        // An empty tensor contributes nothing; the output keeps the mode's
+        // extent, whichever fold branch the mode would take.
+        for dims in [
+            &[3usize, 0, 4, 2][..],
+            &[0, 3, 2][..],
+            &[2, 3, 0][..],
+            &[0][..],
+        ] {
+            let (t, factors) = rand_tensor_and_factors(dims, 2, 3);
+            let refs: Vec<&Mat> = factors.iter().collect();
+            for mode in 0..dims.len() {
+                let out = mttkrp_dense(&t, &refs, mode).unwrap();
+                assert_eq!(out.shape(), (dims[mode], 2), "dims {dims:?} mode {mode}");
+                assert!(out.as_slice().iter().all(|&v| v == 0.0));
+            }
+        }
     }
 
     #[test]
@@ -460,21 +469,5 @@ mod tests {
         assert!(mttkrp_dense(&t, &[&good, &good, &good], 3).is_err());
         // The mode's own factor rows are NOT validated (it is replaced).
         assert!(mttkrp_dense(&t, &[&bad_rows, &good, &good], 0).is_ok());
-    }
-
-    #[test]
-    fn linear_to_coords_round_trips() {
-        let dims = [3usize, 4, 2, 5];
-        let mut expect = vec![0usize; 4];
-        for idx in 0..dims.iter().product::<usize>() {
-            assert_eq!(linear_to_coords(idx, &dims), expect, "idx {idx}");
-            for m in (0..4).rev() {
-                expect[m] += 1;
-                if expect[m] < dims[m] {
-                    break;
-                }
-                expect[m] = 0;
-            }
-        }
     }
 }

@@ -1,11 +1,12 @@
-//! Tiled == reference bitwise equivalence for the fused dense-3 MTTKRP.
+//! Tiled == reference bitwise equivalence for the fused dense MTTKRP.
 //!
-//! The kernel backend seam routes the fused dense 3-mode MTTKRP fibre
-//! loops through `Kernel::mttkrp_tile` / `mttkrp_scatter`; the tiled
-//! backend must reproduce the reference backend **bit for bit** for every
-//! mode, any ragged dims, rank spanning 1..32, and any thread budget —
-//! the same determinism contract `tpcp-linalg`'s `kernel_equiv` suite
-//! pins for the matrix products.
+//! The kernel backend seam routes the fused 3-way MTTKRP fibre loops
+//! through `Kernel::mttkrp_tile` / `mttkrp_scatter`, and every other order
+//! is folded onto that 3-way view; the tiled backend must reproduce the
+//! reference backend **bit for bit** for every order, every mode, any
+//! ragged dims, rank spanning 1..32, and any thread budget — the same
+//! determinism contract `tpcp-linalg`'s `kernel_equiv` suite pins for the
+//! matrix products.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -32,27 +33,45 @@ fn rand_tensor_and_factors(dims: &[usize], f: usize, seed: u64) -> (DenseTensor,
 
 /// Asserts that for every mode and thread budget the tiled backend equals
 /// the serial reference backend bitwise.
-fn check_modes(dims: &[usize], f: usize, seed: u64) {
-    let (t, factors) = rand_tensor_and_factors(dims, f, seed);
+fn check_tensor(t: &DenseTensor, factors: &[Mat]) {
     let refs: Vec<&Mat> = factors.iter().collect();
-    for mode in 0..dims.len() {
+    for mode in 0..t.order() {
         let reference =
-            mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Reference)
+            mttkrp_dense_kernel(t, &refs, mode, &ParConfig::serial(), KernelKind::Reference)
                 .unwrap();
         for threads in THREAD_BUDGETS {
             let par = ParConfig::with_threads(threads);
-            let tiled = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Tiled).unwrap();
+            let tiled = mttkrp_dense_kernel(t, &refs, mode, &par, KernelKind::Tiled).unwrap();
             prop_assert_eq!(
                 bits(&tiled),
                 bits(&reference),
                 "dims {:?} mode {} rank {} threads {}: tiled != reference bitwise",
-                dims,
+                t.dims(),
                 mode,
-                f,
+                refs[0].cols(),
                 threads
             );
         }
     }
+}
+
+fn check_modes(dims: &[usize], f: usize, seed: u64) {
+    let (t, factors) = rand_tensor_and_factors(dims, f, seed);
+    check_tensor(&t, &factors);
+}
+
+/// [`check_tensor`] on a random tensor with half its entries `0.0` and a
+/// further tenth `-0.0`.
+fn check_modes_zero_heavy(dims: &[usize], f: usize, seed: u64) {
+    let (mut t, factors) = rand_tensor_and_factors(dims, f, seed);
+    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
+        if i % 2 == 0 {
+            *v = 0.0;
+        } else if i % 5 == 0 {
+            *v = -0.0;
+        }
+    }
+    check_tensor(&t, &factors);
 }
 
 proptest! {
@@ -78,6 +97,34 @@ proptest! {
     ) {
         check_modes(&[d0, d1, d2], f, seed);
     }
+
+    /// Order 2 folds to `[I₀, I₁, 1]` (mode 0) and `[1, I₀, I₁]` (mode 1)
+    /// with a ones-row Khatri-Rao block.
+    #[test]
+    fn tiled_mttkrp_matches_reference_order2(
+        d0 in 2usize..60, d1 in 2usize..60, f in 1usize..33, seed in 0u64..1000,
+    ) {
+        check_modes(&[d0, d1], f, seed);
+    }
+
+    /// Order 4 hits all three fold branches with a two-factor Khatri-Rao
+    /// block on the folded side.
+    #[test]
+    fn tiled_mttkrp_matches_reference_order4(
+        d0 in 2usize..10, d1 in 2usize..10, d2 in 2usize..10, d3 in 2usize..10,
+        f in 1usize..33, seed in 0u64..1000,
+    ) {
+        check_modes(&[d0, d1, d2, d3], f, seed);
+    }
+
+    /// Order 5: the middle mode folds two factors on each side.
+    #[test]
+    fn tiled_mttkrp_matches_reference_order5(
+        d0 in 2usize..7, d1 in 2usize..7, d2 in 2usize..7, d3 in 2usize..7, d4 in 2usize..7,
+        f in 1usize..33, seed in 0u64..1000,
+    ) {
+        check_modes(&[d0, d1, d2, d3, d4], f, seed);
+    }
 }
 
 /// Zero-heavy tensors: the reference fibre loops skip zero entries while
@@ -85,26 +132,14 @@ proptest! {
 /// accumulators bitwise unchanged for finite inputs.
 #[test]
 fn tiled_mttkrp_matches_reference_with_zeros() {
-    let dims = [13usize, 11, 9];
-    let (mut t, factors) = rand_tensor_and_factors(&dims, 16, 42);
-    for (i, v) in t.as_mut_slice().iter_mut().enumerate() {
-        if i % 2 == 0 {
-            *v = 0.0;
-        } else if i % 5 == 0 {
-            *v = -0.0;
-        }
-    }
-    let refs: Vec<&Mat> = factors.iter().collect();
-    for mode in 0..3 {
-        let reference =
-            mttkrp_dense_kernel(&t, &refs, mode, &ParConfig::serial(), KernelKind::Reference)
-                .unwrap();
-        for threads in THREAD_BUDGETS {
-            let par = ParConfig::with_threads(threads);
-            let tiled = mttkrp_dense_kernel(&t, &refs, mode, &par, KernelKind::Tiled).unwrap();
-            assert_eq!(bits(&tiled), bits(&reference), "mode {mode} t{threads}");
-        }
-    }
+    check_modes_zero_heavy(&[13, 11, 9], 16, 42);
+}
+
+/// The same ±0.0 argument through the order-4 fold, whose Khatri-Rao
+/// blocks multiply the zero entries by products of factor rows.
+#[test]
+fn tiled_mttkrp_matches_reference_with_zeros_order4() {
+    check_modes_zero_heavy(&[7, 6, 5, 4], 12, 43);
 }
 
 /// `Auto` must resolve to a real backend and agree with the explicit kinds

@@ -1,16 +1,16 @@
 //! Parallel == serial equivalence for the MTTKRP kernels.
 //!
 //! The determinism contract of `tpcp-par` promises that every MTTKRP path
-//! (fused dense 3-mode, generic odometer, sparse) produces **bit-identical**
-//! results for any thread budget: the fused kernel partitions the output
-//! mode (each row accumulated by one worker in serial order) and the
-//! reduction paths use fixed, size-derived chunk boundaries merged in
-//! ascending order. These property tests pin that contract across tensor
+//! (the fused dense kernel at every order, sparse) produces
+//! **bit-identical** results for any thread budget: the fused kernel
+//! partitions the output mode (each row accumulated by one worker in serial
+//! order) and the sparse path uses fixed, size-derived chunk boundaries
+//! merged in ascending order. These property tests pin that contract across tensor
 //! orders 3–5, every mode, and thread budgets {1, 2, 4, 7}.
 //!
 //! Tensor sizes are chosen to exceed the kernels' internal
-//! serial-clamp work threshold (elements × rank ≥ 2¹³) and the reduction
-//! chunk size (512 elements), so the parallel machinery — including
+//! serial-clamp work threshold (elements × rank ≥ 2¹³) and the sparse
+//! reduction chunk size (512 non-zeros), so the parallel machinery — including
 //! multi-chunk ordered merges — is genuinely exercised, not short-circuited.
 
 use proptest::prelude::*;
@@ -150,8 +150,8 @@ proptest! {
     }
 }
 
-/// Fixed multi-chunk regression: large enough that the generic and sparse
-/// reduction paths cut several 512-element chunks, so the ordered merge —
+/// Fixed multi-chunk regression: large enough that the sparse reduction
+/// path cuts several 512-element chunks, so the ordered merge —
 /// not just single-chunk degeneration — is what the bitwise assertions pin.
 #[test]
 fn multi_chunk_reduction_is_thread_invariant() {
