@@ -8,6 +8,13 @@
 //! threads. The two backends are bitwise-identical by contract
 //! (pinned by the `kernel_equiv` suites), so the ratio is pure speed.
 //!
+//! The `par_dispatch` group measures what a fan-out costs: the round trip
+//! of an empty region on the `tpcp-par` pool, and square tiled products of
+//! side 32, 64 and 128 banded over one and two threads — on the pool and,
+//! for comparison, on freshly spawned scoped threads. These products bypass
+//! `ParConfig::for_work`, so they show the break-even that
+//! `tpcp_par::PAR_GRAIN` is set from.
+//!
 //! A one-shot accounted pass per cell is written to `BENCH_kernels.json`
 //! at the workspace root: median ns/call, nominal GFLOP/s, and the
 //! tiled-vs-reference speedup ratio per (op × threads) cell, so the perf
@@ -19,7 +26,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use tpcp_cp::mttkrp_dense_kernel;
 use tpcp_linalg::{KernelKind, Mat};
-use tpcp_par::ParConfig;
+use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig, PAR_GRAIN};
 use tpcp_tensor::{random_factor, DenseTensor};
 
 /// Where the machine-readable artifact lands (the workspace root).
@@ -67,7 +74,16 @@ fn write_artifact(cells: &[Cell]) {
          tiled backend). GFLOP/s are nominal: 2mkn for the products, 2mk^2 for \
          gram (full, though tiled computes half and mirrors), 2|X|F for the \
          fused MTTKRP of every order. Backends are bitwise-identical by \
-         contract, so the ratio is pure speed.\"\n",
+         contract, so the ratio is pure speed. par_dispatch: empty_region_tN \
+         is the round trip of a region of N no-op tasks on the pool; \
+         matmulS_{pool,spawn}_tN is an S^3 tiled product banded over N \
+         threads (pool, or fresh scoped threads per call), speedup_vs_t1 its \
+         speedup. The fan-out grain PAR_GRAIN is 2^18 multiply-adds: on a \
+         2-core host two pool threads lose or tie at 32^3 (2^15) and win from \
+         64^3 (2^18) up, while freshly spawned threads still lose at 64^3. \
+         The 960x16x16 products above (245760 multiply-adds) fall below the \
+         grain and run serially at t4 as well. Cells are single runs on a \
+         shared host.\"\n",
     );
     out.push_str("}\n");
     match std::fs::write(ARTIFACT_PATH, &out) {
@@ -208,7 +224,84 @@ fn bench_kernels(c: &mut Criterion) {
         }
     }
     group.finish();
+    cells.extend(bench_par_dispatch(c));
     write_artifact(&cells);
+}
+
+/// An `n × n` by `n × n` tiled product banded over `threads` workers: on
+/// the pool, or on fresh scoped threads (the per-call spawn the pool
+/// replaced). Neither applies [`ParConfig::for_work`].
+fn banded_matmul(a: &[f64], b: &[f64], out: &mut [f64], n: usize, threads: usize, spawn: bool) {
+    let kernel = KernelKind::Tiled.resolve();
+    let chunk_rows = tile_rows_per_chunk(n, threads, kernel.row_tile());
+    let band = |ci: usize, chunk: &mut [f64]| {
+        let rows = chunk.len() / n;
+        let a_band = &a[ci * chunk_rows * n..(ci * chunk_rows + rows) * n];
+        kernel.matmul(a_band, rows, n, b, n, chunk);
+    };
+    if spawn {
+        std::thread::scope(|scope| {
+            for (ci, chunk) in out.chunks_mut(chunk_rows * n).enumerate() {
+                scope.spawn(move || band(ci, chunk));
+            }
+        });
+    } else {
+        par_chunks_mut(&ParConfig::with_threads(threads), out, chunk_rows * n, band);
+    }
+}
+
+fn bench_par_dispatch(c: &mut Criterion) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    let mut group = c.benchmark_group("par_dispatch");
+    group.sample_size(15);
+    for threads in [2usize, 4] {
+        let cfg = ParConfig::with_threads(threads);
+        let mut slots = vec![0u8; threads];
+        let name = format!("empty_region_t{threads}");
+        group.bench_function(name.as_str(), |b| {
+            b.iter(|| par_chunks_mut(&cfg, black_box(&mut slots), 1, |_, _| {}))
+        });
+        let ns = measure_ns(2000, || {
+            par_chunks_mut(&cfg, black_box(&mut slots), 1, |_, _| {})
+        });
+        eprintln!("par_dispatch/{name}: {ns:.0} ns/call");
+        cells.push(Cell {
+            name: format!("par_dispatch/{name}"),
+            fields: vec![("ns_per_call", ns)],
+        });
+    }
+    let mut rng = rand::rngs::StdRng::seed_from_u64(12);
+    for n in [32usize, 64, 128] {
+        let a = random_factor(n, n, &mut rng);
+        let b = random_factor(n, n, &mut rng);
+        let mut out = vec![0.0f64; n * n];
+        let iters = (1 << 26) / (n * n * n) as u32;
+        let mut t1 = 0.0;
+        for (threads, spawn) in [(1usize, false), (2, false), (2, true)] {
+            let side = if spawn { "spawn" } else { "pool" };
+            let name = format!("matmul{n}_{side}_t{threads}");
+            let mut run = || banded_matmul(a.as_slice(), b.as_slice(), &mut out, n, threads, spawn);
+            group.bench_function(name.as_str(), |bch| bch.iter(&mut run));
+            let ns = measure_ns(iters, &mut run);
+            let mut fields = vec![
+                ("ns_per_call", ns),
+                ("multiply_adds", (n * n * n) as f64),
+                ("above_grain", f64::from(u8::from(n * n * n >= PAR_GRAIN))),
+            ];
+            if threads == 1 {
+                t1 = ns;
+            } else {
+                fields.push(("speedup_vs_t1", t1 / ns));
+            }
+            eprintln!("par_dispatch/{name}: {ns:.0} ns/call");
+            cells.push(Cell {
+                name: format!("par_dispatch/{name}"),
+                fields,
+            });
+        }
+    }
+    group.finish();
+    cells
 }
 
 criterion_group!(benches, bench_kernels);

@@ -32,7 +32,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use tpcp_cp::{cp_als_dense, cp_als_sparse, AlsOptions, CpModel};
 use tpcp_linalg::Mat;
 use tpcp_mapreduce::{run_job, JobCounters, MapReduceJob, MrConfig};
-use tpcp_par::ParConfig;
 use tpcp_partition::{Block, BlockSource, DenseMemorySource, Grid, SparseMemorySource};
 use tpcp_schedule::UnitId;
 use tpcp_storage::{UnitData, UnitStore};
@@ -83,9 +82,10 @@ fn als_options(cfg: &TwoPcpConfig, block_seed: u64) -> AlsOptions {
         ridge: cfg.ridge,
         seed: block_seed,
         init: None,
-        // Block workers already occupy the budget; the kernels inside one
-        // block stay serial rather than oversubscribing the machine.
-        par: ParConfig::serial(),
+        // Blocks run as `tpcp-par` pool tasks, so these kernels run inline
+        // on the block's thread; only a block decomposed alone (a batch of
+        // one) fans its kernels out over the budget.
+        par: cfg.par,
         kernel: cfg.kernel,
         dimtree: cfg.dimtree,
         // Per-block tensors are already small; compressing them would be

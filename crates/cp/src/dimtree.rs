@@ -55,10 +55,6 @@ pub fn dimtree_auto() -> bool {
     }
 }
 
-/// Work (parent elements × rank) below which a node contraction stays on
-/// the calling thread (same floor as the per-mode MTTKRP).
-const PAR_MIN_WORK: usize = 1 << 13;
-
 /// "No node" sentinel for parent/child links.
 const NO_NODE: usize = usize::MAX;
 
@@ -312,7 +308,9 @@ impl DimTree {
         };
         debug_assert_eq!(w.len(), w_rows * f);
 
-        let par = par.clamped(p_rows * f, PAR_MIN_WORK);
+        // Every parent entry (of the tensor at the root, of the parent's
+        // rows × rank value below it) meets one weight per rank column.
+        let par = par.for_work(p_rows * f);
         let chunk_rows = tile_rows_per_chunk(node_rows, par.threads(), kernel.row_tile());
 
         if parent == 0 {

@@ -28,9 +28,6 @@ use tpcp_linalg::{khatri_rao, Kernel, KernelKind, Mat};
 use tpcp_par::{fixed_chunk_size, par_chunks_mut_scratch, par_chunks_reduce_scratch, ParConfig};
 use tpcp_tensor::{DenseTensor, SparseTensor};
 
-/// Work (elements × rank) below which a kernel stays on the calling thread.
-const PAR_MIN_WORK: usize = 1 << 13;
-
 /// Reduction chunking for the sparse path: at least this many non-zeros
 /// per chunk…
 const REDUCE_MIN_CHUNK: usize = 512;
@@ -128,7 +125,7 @@ pub fn mttkrp_dense_kernel(
     if f == 0 || x.is_empty() {
         return Ok(Mat::zeros(dims[mode], f));
     }
-    let par = par.clamped(x.len() * f, PAR_MIN_WORK);
+    let par = par.for_work(x.len() * f);
     let order = dims.len();
     let ones = Mat::filled(1, f, 1.0);
     let kr = |modes: Range<usize>| kr_block(&factors[modes], &ones);
@@ -295,7 +292,7 @@ pub fn mttkrp_sparse_par(
     }
     let order = x.order();
     let values = x.values();
-    let par = par.clamped(nnz * f, PAR_MIN_WORK);
+    let par = par.for_work(nnz * f * order);
     let chunk = fixed_chunk_size(nnz, REDUCE_MIN_CHUNK, REDUCE_MAX_CHUNKS);
     Ok(par_chunks_reduce_scratch(
         &par,

@@ -105,6 +105,17 @@ fn check_sweep(dims: &[usize], f: usize, seed: u64) {
     }
 }
 
+/// The proptest shapes stay below the fan-out grain; these two run the
+/// root contractions (tensor elements × rank ≥ `tpcp_par::PAR_GRAIN`) on
+/// the pool at orders 3 and 4.
+#[test]
+fn dimtree_fans_out_above_the_grain() {
+    for dims in [&[24usize, 23, 22][..], &[12, 11, 10, 9]] {
+        assert!(dims.iter().product::<usize>() * 24 >= tpcp_par::PAR_GRAIN);
+        check_sweep(dims, 24, 7);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

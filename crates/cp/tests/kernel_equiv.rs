@@ -87,13 +87,13 @@ proptest! {
         check_modes(&[d0, d1, d2], f, seed);
     }
 
-    /// Work above the 2¹³ serial clamp with ranks up to 32, so the fused
-    /// kernel genuinely fans out and full 8-wide chunks plus ragged rank
-    /// tails are both hit.
+    /// Work above the fan-out grain (`tpcp_par::PAR_GRAIN` = elements ×
+    /// rank ≥ 2¹⁸) with ranks up to 32, so the fused kernel genuinely fans
+    /// out and full 8-wide chunks plus ragged rank tails are both hit.
     #[test]
     fn tiled_mttkrp_matches_reference_parallel(
-        d0 in 12usize..17, d1 in 12usize..17, d2 in 12usize..17,
-        f in 8usize..33, seed in 0u64..1000,
+        d0 in 24usize..29, d1 in 24usize..29, d2 in 24usize..29,
+        f in 19usize..33, seed in 0u64..1000,
     ) {
         check_modes(&[d0, d1, d2], f, seed);
     }

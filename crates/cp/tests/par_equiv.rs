@@ -8,8 +8,9 @@
 //! merged in ascending order. These property tests pin that contract across tensor
 //! orders 3–5, every mode, and thread budgets {1, 2, 4, 7}.
 //!
-//! Tensor sizes are chosen to exceed the kernels' internal
-//! serial-clamp work threshold (elements × rank ≥ 2¹³) and the sparse
+//! Tensor sizes are chosen to exceed the fan-out grain
+//! (`tpcp_par::PAR_GRAIN` multiply-adds: elements × rank for the dense
+//! kernel, non-zeros × rank × order for the sparse one) and the sparse
 //! reduction chunk size (512 non-zeros), so the parallel machinery — including
 //! multi-chunk ordered merges — is genuinely exercised, not short-circuited.
 
@@ -110,41 +111,41 @@ proptest! {
 
     #[test]
     fn dense3_fused_kernel_is_thread_invariant(
-        d0 in 12usize..17, d1 in 12usize..17, d2 in 12usize..17,
-        f in 6usize..11, seed in 0u64..1000,
+        d0 in 30usize..35, d1 in 30usize..35, d2 in 30usize..35,
+        f in 10usize..13, seed in 0u64..1000,
     ) {
         check_dense(&[d0, d1, d2], f, seed);
     }
 
     #[test]
     fn dense_generic_order4_is_thread_invariant(
-        d0 in 7usize..9, d1 in 7usize..9, d2 in 7usize..9, d3 in 7usize..9,
-        f in 6usize..11, seed in 0u64..1000,
+        d0 in 12usize..14, d1 in 12usize..14, d2 in 12usize..14, d3 in 12usize..14,
+        f in 13usize..16, seed in 0u64..1000,
     ) {
         check_dense(&[d0, d1, d2, d3], f, seed);
     }
 
     #[test]
     fn dense_generic_order5_is_thread_invariant(
-        d0 in 4usize..6, d1 in 4usize..6, d2 in 4usize..6,
-        d3 in 4usize..6, d4 in 4usize..6,
-        f in 8usize..11, seed in 0u64..1000,
+        d0 in 7usize..9, d1 in 7usize..9, d2 in 7usize..9,
+        d3 in 7usize..9, d4 in 7usize..9,
+        f in 16usize..19, seed in 0u64..1000,
     ) {
         check_dense(&[d0, d1, d2, d3, d4], f, seed);
     }
 
     #[test]
     fn sparse_kernel_is_thread_invariant_order3(
-        d0 in 12usize..17, d1 in 12usize..17, d2 in 12usize..17,
-        f in 10usize..13, seed in 0u64..1000,
+        d0 in 24usize..29, d1 in 24usize..29, d2 in 24usize..29,
+        f in 13usize..16, seed in 0u64..1000,
     ) {
         check_sparse(&[d0, d1, d2], f, seed);
     }
 
     #[test]
     fn sparse_kernel_is_thread_invariant_order4(
-        d0 in 7usize..9, d1 in 7usize..9, d2 in 7usize..9, d3 in 7usize..9,
-        f in 10usize..13, seed in 0u64..1000,
+        d0 in 12usize..14, d1 in 12usize..14, d2 in 12usize..14, d3 in 12usize..14,
+        f in 7usize..10, seed in 0u64..1000,
     ) {
         check_sparse(&[d0, d1, d2, d3], f, seed);
     }
@@ -155,9 +156,13 @@ proptest! {
 /// not just single-chunk degeneration — is what the bitwise assertions pin.
 #[test]
 fn multi_chunk_reduction_is_thread_invariant() {
-    let dims = [9usize, 8, 7, 5];
+    let dims = [16usize, 14, 12, 11];
     let (t, factors) = rand_tensor_and_factors(&dims, 9, 99);
     assert!(t.len() > 4 * 512, "tensor must span several reduce chunks");
+    assert!(
+        t.len() * 9 >= tpcp_par::PAR_GRAIN,
+        "dense kernel must fan out"
+    );
     let refs: Vec<&Mat> = factors.iter().collect();
     let sp = SparseTensor::from_dense(&t, 0.0);
     for mode in 0..dims.len() {

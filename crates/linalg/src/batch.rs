@@ -21,11 +21,6 @@ use crate::kernel::KernelKind;
 use crate::Mat;
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 
-/// Multiply-add count below which a product stays on the calling thread
-/// (mirrors the clamp in `ops.rs`; result-neutral because the kernels are
-/// thread-count deterministic).
-pub(crate) const PAR_MIN_FLOPS: usize = 1 << 15;
-
 /// Gathers `rows` (each `< src_rows`) from the row-major `src` slab of
 /// shape `src_rows × cols` into a dense `rows.len() × cols` matrix.
 ///
@@ -69,7 +64,7 @@ pub fn matmul_t_slices(
         return out;
     }
     let kernel = kind.resolve();
-    let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
+    let par = par.for_work(m * k * n);
     let chunk_rows = tile_rows_per_chunk(m, par.threads(), kernel.row_tile());
     par_chunks_mut(
         &par,
@@ -85,16 +80,11 @@ pub fn matmul_t_slices(
     out
 }
 
-/// [`matmul_t_slices`] on the implicit budget (shared automatic thread
-/// pool above the work threshold, serial below) and the `Auto` backend —
-/// the same dispatch the plain [`Mat::matmul_t`] method uses.
+/// [`matmul_t_slices`] on the automatic budget (the shared pool above
+/// [`tpcp_par::PAR_GRAIN`], serial below) and the `Auto` backend — the
+/// same dispatch the plain [`Mat::matmul_t`] method uses.
 pub fn matmul_t_slices_auto(a: &[f64], m: usize, k: usize, b: &[f64], n: usize) -> Mat {
-    let par = if m * k * n >= PAR_MIN_FLOPS {
-        ParConfig::auto()
-    } else {
-        ParConfig::serial()
-    };
-    matmul_t_slices(a, m, k, b, n, &par, KernelKind::Auto)
+    matmul_t_slices(a, m, k, b, n, &ParConfig::auto(), KernelKind::Auto)
 }
 
 #[cfg(test)]

@@ -2,39 +2,20 @@
 //!
 //! The multiplication kernels come in three flavours: the classic methods
 //! ([`Mat::matmul`], [`Mat::t_matmul`], [`Mat::matmul_t`], [`Mat::gram`])
-//! dispatch to the shared [`tpcp_par`] thread budget once the operation is
-//! large enough to amortise a fan-out, the `*_par` variants take an
-//! explicit [`ParConfig`], and the `*_kernel` variants additionally pin a
-//! [`KernelKind`] backend (the others run [`KernelKind::Auto`]). Either
-//! way the parallel wrappers partition the *output* matrix and the
-//! backends uphold the accumulation-order contract of
-//! [`crate::kernel`], so every element is accumulated in the same order
-//! as the serial reference loop and results are bit-identical for any
-//! thread count and any backend.
+//! run on the automatic [`tpcp_par`] thread budget, the `*_par` variants
+//! take an explicit [`ParConfig`], and the `*_kernel` variants additionally
+//! pin a [`KernelKind`] backend (the others run [`KernelKind::Auto`]).
+//! Every variant stays on the calling thread below
+//! [`tpcp_par::PAR_GRAIN`] multiply-adds ([`ParConfig::for_work`]), where
+//! a fan-out costs more than it saves. Either way the parallel wrappers
+//! partition the *output* matrix and the backends uphold the
+//! accumulation-order contract of [`crate::kernel`], so every element is
+//! accumulated in the same order as the serial reference loop and results
+//! are bit-identical for any thread count and any backend.
 
 use crate::kernel::KernelKind;
 use crate::{LinalgError, Mat, Result};
 use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
-
-/// Multiply-add count below which a product stays on the calling thread:
-/// fanning out costs a few microseconds, which only pays off once the
-/// kernel itself is in that range. Both the implicit entry points and the
-/// explicit `*_par` variants apply this clamp (via [`ParConfig::clamped`]);
-/// it is result-neutral because the kernels are thread-count deterministic.
-/// Shared with the slice-based entry points in [`crate::batch`].
-const PAR_MIN_FLOPS: usize = crate::batch::PAR_MIN_FLOPS;
-
-/// The budget used by the implicit (non-`_par`) entry points: the shared
-/// automatic budget when the operation is big enough, serial otherwise
-/// (checked before `auto()` so small hot-loop products skip the
-/// environment lookup entirely).
-fn implicit_par(flops: usize) -> ParConfig {
-    if flops >= PAR_MIN_FLOPS {
-        ParConfig::auto()
-    } else {
-        ParConfig::serial()
-    }
-}
 
 impl Mat {
     /// `self · rhs` (shapes `m×k` times `k×n`).
@@ -42,7 +23,7 @@ impl Mat {
     /// Above a work threshold this runs on the shared [`tpcp_par`] budget
     /// (`TPCP_THREADS`); see [`Mat::matmul_par`] for an explicit budget.
     pub fn matmul(&self, rhs: &Mat) -> Result<Mat> {
-        self.matmul_par(rhs, &implicit_par(self.rows() * self.cols() * rhs.cols()))
+        self.matmul_par(rhs, &ParConfig::auto())
     }
 
     /// `self · rhs` on an explicit thread budget.
@@ -75,7 +56,7 @@ impl Mat {
             return Ok(out);
         }
         let kernel = kind.resolve();
-        let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
+        let par = par.for_work(m * k * n);
         let chunk_rows = tile_rows_per_chunk(m, par.threads(), kernel.row_tile());
         par_chunks_mut(
             &par,
@@ -98,7 +79,7 @@ impl Mat {
     /// work threshold it runs on the shared [`tpcp_par`] budget; see
     /// [`Mat::t_matmul_par`].
     pub fn t_matmul(&self, rhs: &Mat) -> Result<Mat> {
-        self.t_matmul_par(rhs, &implicit_par(self.rows() * self.cols() * rhs.cols()))
+        self.t_matmul_par(rhs, &ParConfig::auto())
     }
 
     /// `selfᵀ · rhs` on an explicit thread budget.
@@ -133,7 +114,7 @@ impl Mat {
             return Ok(out);
         }
         let kernel = kind.resolve();
-        let par = par.clamped(m * k * n, PAR_MIN_FLOPS);
+        let par = par.for_work(m * k * n);
         let chunk_rows = tile_rows_per_chunk(k, par.threads(), kernel.row_tile());
         par_chunks_mut(
             &par,
@@ -153,7 +134,7 @@ impl Mat {
     /// Above a work threshold this runs on the shared [`tpcp_par`] budget;
     /// see [`Mat::matmul_t_par`].
     pub fn matmul_t(&self, rhs: &Mat) -> Result<Mat> {
-        self.matmul_t_par(rhs, &implicit_par(self.rows() * self.cols() * rhs.rows()))
+        self.matmul_t_par(rhs, &ParConfig::auto())
     }
 
     /// `self · rhsᵀ` on an explicit thread budget (output rows partitioned;
@@ -195,8 +176,7 @@ impl Mat {
 
     /// Gram matrix `selfᵀ · self` (always square `cols × cols`, symmetric).
     pub fn gram(&self) -> Mat {
-        let k = self.cols();
-        self.gram_kernel(&implicit_par(self.rows() * k * k), KernelKind::Auto)
+        self.gram_kernel(&ParConfig::auto(), KernelKind::Auto)
     }
 
     /// [`Mat::gram`] on an explicit thread budget (bit-identical to serial
@@ -221,7 +201,7 @@ impl Mat {
             return out;
         }
         let kernel = kind.resolve();
-        let par = par.clamped(m * k * k, PAR_MIN_FLOPS);
+        let par = par.for_work(m * k * k);
         let chunk_rows = tile_rows_per_chunk(k, par.threads(), kernel.row_tile());
         par_chunks_mut(
             &par,

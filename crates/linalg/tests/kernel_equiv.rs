@@ -72,12 +72,13 @@ proptest! {
         check_products(&a, &b_kn, &b_mn, &b_nk);
     }
 
-    /// Shapes above the 2¹⁵-flop serial clamp, so the parallel wrappers
-    /// genuinely fan out and the tile-aligned chunking is exercised
-    /// (non-tile-multiple row counts make the last chunk ragged).
+    /// Shapes above the fan-out grain (`tpcp_par::PAR_GRAIN` = 2¹⁸
+    /// multiply-adds, `gram` included), so the parallel wrappers genuinely
+    /// fan out and the tile-aligned chunking is exercised (non-tile-multiple
+    /// row counts make the last chunk ragged).
     #[test]
     fn tiled_equals_reference_bitwise_parallel(
-        (a, b_kn, b_mn, b_nk) in (97usize..131, 9usize..33, 17usize..41).prop_flat_map(|(m, k, n)| (
+        (a, b_kn, b_mn, b_nk) in (1024usize..1100, 16usize..33, 17usize..41).prop_flat_map(|(m, k, n)| (
             mat_strategy(m, k),
             mat_strategy(k, n),
             mat_strategy(m, n),

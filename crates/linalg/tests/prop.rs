@@ -235,11 +235,12 @@ proptest! {
 
     /// The parallel product kernels partition the output matrix, so every
     /// thread budget must reproduce the serial result bit for bit. The
-    /// shapes keep `m·k·n` above the kernels' serial-clamp flop threshold
-    /// (2¹⁵) so the parallel path is genuinely exercised.
+    /// shapes keep `m·k·n` above the fan-out grain
+    /// (`tpcp_par::PAR_GRAIN` = 2¹⁸ multiply-adds) so the parallel path is
+    /// genuinely exercised.
     #[test]
     fn matmul_is_thread_invariant(
-        (a, b) in (128usize..192, 16usize..24, 16usize..24).prop_flat_map(|(m, k, n)| (
+        (a, b) in (512usize..640, 24usize..32, 24usize..32).prop_flat_map(|(m, k, n)| (
             proptest::collection::vec(-10.0f64..10.0, m * k)
                 .prop_map(move |d| Mat::from_vec(m, k, d)),
             proptest::collection::vec(-10.0f64..10.0, k * n)
@@ -264,10 +265,10 @@ proptest! {
 
     /// `gram`/`t_matmul` partition the *output* rows but sweep the input
     /// rows in serial order, so they are bit-identical too. Tall shapes
-    /// keep the flop count above the serial clamp.
+    /// keep the multiply-add count above the fan-out grain.
     #[test]
     fn gram_and_t_matmul_are_thread_invariant(
-        (a, b) in (512usize..640, 8usize..12, 8usize..12).prop_flat_map(|(m, k, n)| (
+        (a, b) in (2048usize..2560, 12usize..16, 12usize..16).prop_flat_map(|(m, k, n)| (
             proptest::collection::vec(-10.0f64..10.0, m * k)
                 .prop_map(move |d| Mat::from_vec(m, k, d)),
             proptest::collection::vec(-10.0f64..10.0, m * n)

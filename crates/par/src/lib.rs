@@ -1,4 +1,5 @@
-//! Deterministic scoped-parallelism primitives for the 2PCP workspace.
+//! Deterministic parallelism primitives for the 2PCP workspace, run on one
+//! persistent worker pool.
 //!
 //! Every layer of the stack (MTTKRP kernels, dense matrix products, the
 //! Phase-1 block fan-out, the MapReduce engine) funnels its threading
@@ -17,15 +18,55 @@
 //!   the per-chunk accumulators, so floating-point results are bit-identical
 //!   regardless of how many threads executed the chunks.
 //!
-//! `std::thread::scope` is used only inside this crate; at `threads == 1`
-//! every primitive degenerates to a plain sequential loop over the same
-//! chunk boundaries (no threads are spawned, and the arithmetic — including
-//! the reduction order — is unchanged).
+//! # The pool
+//!
+//! Parallel regions run on one process-global pool of
+//! `available_parallelism() − 1` workers, started on the first region that
+//! fans out and never torn down. A region is one job of `n` task indices
+//! claimed from an atomic cursor; the calling thread always works on its
+//! own job until the cursor runs out, then waits on a latch for the tasks
+//! still in flight. Hence concurrent top-level callers cannot deadlock (each
+//! can finish its job alone), and a budget above the hardware — say
+//! `with_threads(7)` on two cores — runs its 7 tasks, with the same chunking
+//! and the same bits, on at most `available_parallelism()` threads. A task
+//! panic is caught and re-raised on the caller after the latch; the pool
+//! stays usable. An idle worker yields its core for a few tens of
+//! microseconds before it parks, so back-to-back regions skip the wake-up.
+//!
+//! # When a region fans out
+//!
+//! One policy, owned here, decides:
+//!
+//! * [`ParConfig::for_work`] clamps a kernel's budget to serial below
+//!   [`PAR_GRAIN`] multiply-adds, the pool's measured break-even;
+//! * a region opened *inside* a pool task runs inline, serially, on that
+//!   task's thread, and `for_work` hands kernels there a serial budget. The
+//!   outermost fan-out owns the budget — Phase 1's blocks or the MapReduce
+//!   mappers — and the kernels below it run as plain serial kernels on the
+//!   worker that owns the block;
+//! * at `threads == 1` every primitive is a plain sequential loop over the
+//!   same chunk boundaries, with the same reduction order.
+//!
+//! None of the three changes a result: the primitives are deterministic in
+//! the thread count.
 
+use std::any::Any;
+use std::cell::Cell;
+use std::collections::VecDeque;
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
+
+/// Multiply-adds below which a kernel stays on the calling thread (see
+/// [`ParConfig::for_work`]).
+///
+/// Set from the pool's measured break-even for a square dense product on a
+/// 2-core host: a 32³ `matmul` (2¹⁵ multiply-adds) is no faster on two
+/// threads than on one, a 64³ one (2¹⁸) is 1.2–1.6× faster. The `par_dispatch`
+/// group of the `kernels` bench measures the table (`BENCH_kernels.json`).
+pub const PAR_GRAIN: usize = 1 << 18;
 
 /// The shared thread-budget policy.
 ///
@@ -58,7 +99,7 @@ impl ParConfig {
     }
 
     /// A single-threaded budget: primitives run sequentially on the calling
-    /// thread (same chunking, same reduction order, no spawns).
+    /// thread (same chunking, same reduction order, no pool).
     pub fn serial() -> Self {
         ParConfig { threads: 1 }
     }
@@ -74,7 +115,9 @@ impl ParConfig {
     }
 
     /// An explicit budget of `n` threads; `0` means "decide automatically"
-    /// and resolves exactly like [`ParConfig::auto`].
+    /// and resolves exactly like [`ParConfig::auto`]. A budget above the
+    /// hardware keeps its chunking but runs on at most
+    /// `available_parallelism()` threads.
     pub fn with_threads(n: usize) -> Self {
         if n == 0 {
             ParConfig::auto()
@@ -89,16 +132,20 @@ impl ParConfig {
         self.threads
     }
 
-    /// This budget, clamped to serial when `work` (in whatever unit the
-    /// kernel counts — flops, elements × rank, …) is below `min_work`.
+    /// This budget for a kernel of `multiply_adds` multiply-adds: serial
+    /// below [`PAR_GRAIN`] and inside a pool task, unchanged otherwise.
     ///
-    /// Fanning out costs a few microseconds per worker, so every kernel
-    /// should apply this before spawning; the clamp is result-neutral
-    /// because the primitives are deterministic in the thread count.
+    /// Handing a region to the pool costs microseconds of queue and latch
+    /// traffic, so every kernel applies this before fanning out. Inside a
+    /// pool task the kernel's regions run inline anyway, and a serial
+    /// budget also gives it its one-thread geometry (one band instead of
+    /// `threads` bands that each re-stream the input). The clamp is
+    /// result-neutral because the primitives are deterministic in the
+    /// thread count.
     #[inline]
     #[must_use]
-    pub fn clamped(&self, work: usize, min_work: usize) -> ParConfig {
-        if work < min_work {
+    pub fn for_work(&self, multiply_adds: usize) -> ParConfig {
+        if multiply_adds < PAR_GRAIN || IN_TASK.get() {
             ParConfig::serial()
         } else {
             *self
@@ -125,8 +172,11 @@ fn env_threads() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
+/// [`std::thread::available_parallelism`], read once (it walks cgroup
+/// files on Linux, too slow for a per-product call).
 fn hardware_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static HARDWARE: OnceLock<usize> = OnceLock::new();
+    *HARDWARE.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Failure of a parallel region.
@@ -155,7 +205,7 @@ impl<E: std::fmt::Display> std::fmt::Display for ParError<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for ParError<E> {}
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -163,6 +213,223 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_owned()
     }
+}
+
+/// Locks a mutex of this module. Tasks run under `catch_unwind` and never
+/// hold these locks, and every guarded update is a single assignment, so a
+/// poisoned lock still guards valid data.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The body of a parallel region: called once per task index.
+type Task<'a> = dyn Fn(usize) + Sync + 'a;
+
+thread_local! {
+    /// Set while this thread runs a pool task (for good, on pool workers):
+    /// regions opened inside a task run inline.
+    static IN_TASK: Cell<bool> = const { Cell::new(false) };
+}
+
+type JobQueue = VecDeque<Arc<Job>>;
+/// Jobs waiting for helpers, oldest first.
+static QUEUE: Mutex<JobQueue> = Mutex::new(VecDeque::new());
+/// Signalled when a job is queued.
+static WAKE: Condvar = Condvar::new();
+/// Regions submitted so far (see [`idle`]).
+static SUBMITTED: AtomicUsize = AtomicUsize::new(0);
+/// How long an idle worker keeps yielding before it parks.
+const SPIN: Duration = Duration::from_micros(50);
+
+/// One parallel region: `n` task indices, claimed from `next` by the
+/// submitter and by up to `helpers` pool workers.
+struct Job {
+    /// The region's body, with its borrow's lifetime erased (see
+    /// [`run_region`]); only called for a claimed index `< n`.
+    task: &'static Task<'static>,
+    n: usize,
+    next: AtomicUsize,
+    /// Helper slots still open to pool workers.
+    helpers: AtomicUsize,
+    /// Tasks finished; the latch opens at `n`.
+    done: Mutex<usize>,
+    all_done: Condvar,
+    /// The lowest-indexed task panic, re-raised by the submitter.
+    panic: Mutex<Option<(usize, Box<dyn Any + Send>)>>,
+}
+
+impl Job {
+    /// Takes a helper slot when the job still has unclaimed tasks.
+    fn try_join(&self) -> bool {
+        self.next.load(Ordering::Relaxed) < self.n
+            && self
+                .helpers
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |h| h.checked_sub(1))
+                .is_ok()
+    }
+
+    /// Claims and runs tasks until the cursor runs out, then credits them
+    /// to the latch. The `done` mutex orders every task's writes before the
+    /// submitter's return.
+    fn work(&self) {
+        let mut ran = 0;
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                break;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.task)(i))) {
+                let mut first = lock(&self.panic);
+                if first.as_ref().is_none_or(|(j, _)| i < *j) {
+                    *first = Some((i, payload));
+                }
+            }
+            ran += 1;
+        }
+        if ran > 0 {
+            let mut done = lock(&self.done);
+            *done += ran;
+            if *done == self.n {
+                self.all_done.notify_all();
+            }
+        }
+    }
+}
+
+/// Waits for every task of a job when dropped, so [`run_region`] cannot
+/// return — normally or by unwinding — while a task may still run.
+struct Latch<'a>(&'a Job);
+
+impl Drop for Latch<'_> {
+    fn drop(&mut self) {
+        let job = self.0;
+        let mut done = lock(&job.done);
+        while *done < job.n {
+            done = job
+                .all_done
+                .wait(done)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// The pool's worker count, starting the workers on first use.
+///
+/// The workers are process-global and never joined: they own nothing but
+/// the queue, park on [`WAKE`] when it is empty, and end with the process.
+fn pool_workers() -> usize {
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        (1..hardware_threads())
+            .filter(|i| {
+                std::thread::Builder::new()
+                    .name(format!("tpcp-par-{i}"))
+                    .spawn(worker_loop)
+                    .is_ok()
+            })
+            .count()
+    })
+}
+
+/// Waits, with the queue unlocked, until a region may have been queued.
+///
+/// A parked worker takes tens of microseconds to wake, as long as a
+/// small product itself; so an idle worker first yields its core for
+/// [`SPIN`] while watching [`SUBMITTED`], catching back-to-back regions
+/// (Phase 2's product sequences, serving batches) without that latency,
+/// and only then parks on [`WAKE`]. `SUBMITTED` is only a hint, read
+/// `Relaxed`: the job itself is read under the queue lock.
+fn idle(queue: MutexGuard<'static, JobQueue>) -> MutexGuard<'static, JobQueue> {
+    let seen = SUBMITTED.load(Ordering::Relaxed);
+    drop(queue);
+    let start = Instant::now();
+    while SUBMITTED.load(Ordering::Relaxed) == seen && start.elapsed() < SPIN {
+        std::thread::yield_now();
+    }
+    let queue = lock(&QUEUE);
+    if queue.is_empty() {
+        WAKE.wait(queue).unwrap_or_else(PoisonError::into_inner)
+    } else {
+        queue
+    }
+}
+
+fn worker_loop() {
+    IN_TASK.set(true);
+    loop {
+        let job = {
+            let mut queue = lock(&QUEUE);
+            loop {
+                match queue.front() {
+                    Some(job) if job.try_join() => break Arc::clone(job),
+                    // Exhausted, or every helper slot taken.
+                    Some(_) => drop(queue.pop_front()),
+                    None => queue = idle(queue),
+                }
+            }
+        };
+        job.work();
+    }
+}
+
+/// How many threads a region of `n` tasks on `cfg` runs on: 1 (inline, on
+/// the caller) for a serial budget, a single task, or a region opened
+/// inside a pool task; otherwise the budget capped at `n` and the hardware.
+fn region_width(cfg: &ParConfig, n: usize) -> usize {
+    let want = cfg.threads().min(n);
+    if want <= 1 || IN_TASK.get() {
+        return 1;
+    }
+    want.min(pool_workers() + 1)
+}
+
+/// Runs `task(i)` for every `i in 0..n` on the caller plus up to
+/// `width − 1` pool workers, returning once every task has finished. The
+/// lowest-indexed task panic is re-raised here, after the latch.
+fn run_region(width: usize, n: usize, task: &Task<'_>) {
+    // SAFETY: only the lifetime of the borrow is erased. `task` is called
+    // solely by `Job::work`, for an index it claimed below `n`, and each
+    // such call is credited to the latch after it returns or unwinds (the
+    // unwind is caught). `latch` is dropped — waiting for all `n` credits —
+    // before this function returns or unwinds, so every call finishes while
+    // the borrow is live. Afterwards, threads still holding the `Arc<Job>`
+    // see an exhausted cursor and never read `task` again.
+    let task = unsafe { std::mem::transmute::<&Task<'_>, &'static Task<'static>>(task) };
+    let job = Arc::new(Job {
+        task,
+        n,
+        next: AtomicUsize::new(0),
+        helpers: AtomicUsize::new(width - 1),
+        done: Mutex::new(0),
+        all_done: Condvar::new(),
+        panic: Mutex::new(None),
+    });
+    {
+        let latch = Latch(&job);
+        lock(&QUEUE).push_back(Arc::clone(&job));
+        SUBMITTED.fetch_add(1, Ordering::Relaxed);
+        for _ in 1..width {
+            WAKE.notify_one();
+        }
+        // Never already set: a region opened inside a task runs inline.
+        IN_TASK.set(true);
+        job.work();
+        IN_TASK.set(false);
+        lock(&QUEUE).retain(|queued| !Arc::ptr_eq(queued, &job));
+        drop(latch);
+    }
+    let panic = lock(&job.panic).take();
+    if let Some((_, payload)) = panic {
+        resume_unwind(payload);
+    }
+}
+
+/// A value handed between threads exactly once.
+type Slot<X> = Mutex<Option<X>>;
+
+/// Takes the item out of a slot filled exactly once.
+fn take<I>(slot: &Slot<I>) -> I {
+    lock(slot).take().expect("each slot is taken exactly once")
 }
 
 /// Runs `call(i)` for `i in 0..n`, catching panics, and collects results in
@@ -183,10 +450,10 @@ where
         }
     };
 
-    let threads = cfg.threads().min(n.max(1));
-    if threads <= 1 {
+    let width = region_width(cfg, n);
+    if width <= 1 {
         // Sequential fast path: short-circuits at the lowest-indexed
-        // failure, matching the multi-threaded error selection below.
+        // failure, matching the pooled error selection below.
         let mut out = Vec::with_capacity(n);
         for i in 0..n {
             out.push(guarded(i)?);
@@ -194,31 +461,17 @@ where
         return Ok(out);
     }
 
-    /// One worker result, filled exactly once by whichever thread stole
-    /// the index.
-    type Slot<T, E> = Mutex<Option<Result<T, ParError<E>>>>;
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Slot<T, E>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = guarded(i);
-                *slots[i].lock().expect("par_map slot poisoned") = Some(result);
-            });
-        }
+    // One worker result per index, filled exactly once by whichever thread
+    // claimed it.
+    let slots: Vec<Slot<Result<T, ParError<E>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    run_region(width, n, &|i| {
+        let result = guarded(i);
+        *lock(&slots[i]) = Some(result);
     });
 
     let mut out = Vec::with_capacity(n);
-    for slot in slots {
-        match slot
-            .into_inner()
-            .expect("par_map slot poisoned")
-            .expect("every index visited")
-        {
+    for slot in &slots {
+        match take(slot) {
             Ok(v) => out.push(v),
             // Slots are scanned in index order, so the first error seen is
             // the lowest-indexed one — deterministic even though workers
@@ -231,7 +484,7 @@ where
 
 /// Indexed work-stealing map over a borrowed slice.
 ///
-/// Applies `f(index, &item)` to every item on up to `cfg.threads()` scoped
+/// Applies `f(index, &item)` to every item on up to `cfg.threads()` pool
 /// threads (work-stealing via an atomic cursor, so uneven per-item cost
 /// balances out) and returns the results in input order.
 ///
@@ -266,15 +519,8 @@ where
     E: Send,
     F: Fn(usize, I) -> Result<T, E> + Sync,
 {
-    let slots: Vec<Mutex<Option<I>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
-    run_indexed(cfg, slots.len(), |i| {
-        let item = slots[i]
-            .lock()
-            .expect("par_map_owned item poisoned")
-            .take()
-            .expect("each item is taken exactly once");
-        f(i, item)
-    })
+    let slots: Vec<Slot<I>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    run_indexed(cfg, slots.len(), |i| f(i, take(&slots[i])))
 }
 
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
@@ -283,9 +529,10 @@ where
 ///
 /// Because the chunks partition the output, every element is written by a
 /// single worker and the result is **bit-identical to a serial run** for
-/// any thread count. Chunks are statically assigned round-robin — use this
-/// for dense kernels whose per-chunk cost is uniform. A worker panic
-/// propagates to the caller (the closure is expected to be infallible).
+/// any thread count. Chunks are dealt round-robin onto `cfg.threads()`
+/// lanes — use this for dense kernels whose per-chunk cost is uniform. A
+/// worker panic propagates to the caller (the closure is expected to be
+/// infallible).
 pub fn par_chunks_mut<T, F>(cfg: &ParConfig, data: &mut [T], chunk_len: usize, f: F)
 where
     T: Send,
@@ -294,7 +541,10 @@ where
     par_chunks_mut_scratch(cfg, data, chunk_len, || (), |idx, chunk, ()| f(idx, chunk));
 }
 
-/// [`par_chunks_mut`] with **worker-local scratch**: each worker builds one
+/// The indexed chunks one lane of [`par_chunks_mut_scratch`] writes.
+type Lane<'a, T> = Vec<(usize, &'a mut [T])>;
+
+/// [`par_chunks_mut`] with **lane-local scratch**: each lane builds one
 /// scratch value with `make_scratch` and reuses it across every chunk it
 /// executes (the serial path builds exactly one).
 ///
@@ -302,7 +552,7 @@ where
 /// MTTKRP row scratch, the dimension-tree gather buffers) without touching
 /// the determinism story: scratch is pure workspace — a closure must not
 /// carry information from one chunk into the next through it — so the
-/// chunk→worker assignment stays result-neutral and outputs remain
+/// chunk→lane assignment stays result-neutral and outputs remain
 /// bit-identical for any thread count.
 pub fn par_chunks_mut_scratch<T, S, F>(
     cfg: &ParConfig,
@@ -320,28 +570,25 @@ pub fn par_chunks_mut_scratch<T, S, F>(
     }
     let chunk_len = chunk_len.max(1);
     let n_chunks = data.len().div_ceil(chunk_len);
-    let threads = cfg.threads().min(n_chunks);
-    if threads <= 1 {
+    let width = region_width(cfg, n_chunks);
+    if width <= 1 {
         let mut scratch = make_scratch();
         for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
             f(idx, chunk, &mut scratch);
         }
         return;
     }
-    let mut per_worker: Vec<Vec<(usize, &mut [T])>> = (0..threads).map(|_| Vec::new()).collect();
+    let lanes = cfg.threads().min(n_chunks);
+    let mut per_lane: Vec<Lane<'_, T>> = (0..lanes).map(|_| Vec::new()).collect();
     for (idx, chunk) in data.chunks_mut(chunk_len).enumerate() {
-        per_worker[idx % threads].push((idx, chunk));
+        per_lane[idx % lanes].push((idx, chunk));
     }
-    std::thread::scope(|scope| {
-        for worker in per_worker {
-            let f = &f;
-            let make_scratch = &make_scratch;
-            scope.spawn(move || {
-                let mut scratch = make_scratch();
-                for (idx, chunk) in worker {
-                    f(idx, chunk, &mut scratch);
-                }
-            });
+    let per_lane: Vec<Slot<Lane<'_, T>>> =
+        per_lane.into_iter().map(|l| Mutex::new(Some(l))).collect();
+    run_region(width, lanes, &|lane| {
+        let mut scratch = make_scratch();
+        for (idx, chunk) in take(&per_lane[lane]) {
+            f(idx, chunk, &mut scratch);
         }
     });
 }
@@ -384,13 +631,14 @@ where
     )
 }
 
-/// [`par_chunks_reduce`] with **worker-local scratch**: each worker builds
-/// one scratch value and reuses it across every chunk it claims (the serial
-/// path builds exactly one). Accumulators stay per-chunk — they carry the
-/// results that merge in ascending chunk order — but pure workspace (the
-/// MTTKRP Hadamard-row buffer, odometer coordinates) no longer re-allocates
-/// per chunk. Scratch must not carry information between chunks, so the
-/// work-stealing chunk→worker assignment stays result-neutral.
+/// [`par_chunks_reduce`] with **worker-local scratch**: each participating
+/// thread builds one scratch value and reuses it across every chunk it
+/// claims (the serial path builds exactly one). Accumulators stay
+/// per-chunk — they carry the results that merge in ascending chunk order
+/// — but pure workspace (the MTTKRP Hadamard-row buffer, odometer
+/// coordinates) no longer re-allocates per chunk. Scratch must not carry
+/// information between chunks, so the work-stealing chunk→worker
+/// assignment stays result-neutral.
 #[allow(clippy::too_many_arguments)]
 pub fn par_chunks_reduce_scratch<A, S, F, M>(
     cfg: &ParConfig,
@@ -414,8 +662,8 @@ where
     let n_chunks = n_items.div_ceil(chunk_size);
     let range_of = |c: usize| c * chunk_size..((c + 1) * chunk_size).min(n_items);
 
-    let threads = cfg.threads().min(n_chunks);
-    if threads <= 1 {
+    let width = region_width(cfg, n_chunks);
+    if width <= 1 {
         let mut scratch = make_scratch();
         let mut acc = make_acc();
         work(range_of(0), &mut acc, &mut scratch);
@@ -427,30 +675,24 @@ where
         return acc;
     }
 
+    // One task per participating thread, each stealing chunks from a
+    // shared cursor with its own scratch.
     let next_chunk = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<A>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                let mut scratch = make_scratch();
-                loop {
-                    let c = next_chunk.fetch_add(1, Ordering::Relaxed);
-                    if c >= n_chunks {
-                        break;
-                    }
-                    let mut acc = make_acc();
-                    work(range_of(c), &mut acc, &mut scratch);
-                    *slots[c].lock().expect("chunk slot poisoned") = Some(acc);
-                }
-            });
+    let slots: Vec<Slot<A>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
+    run_region(width, width, &|_| {
+        let mut scratch = make_scratch();
+        loop {
+            let c = next_chunk.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
+            }
+            let mut acc = make_acc();
+            work(range_of(c), &mut acc, &mut scratch);
+            *lock(&slots[c]) = Some(acc);
         }
     });
 
-    let mut chunks = slots.into_iter().map(|s| {
-        s.into_inner()
-            .expect("chunk slot poisoned")
-            .expect("chunk filled")
-    });
+    let mut chunks = slots.iter().map(take);
     let first = chunks.next().expect("n_chunks >= 1");
     chunks.fold(first, merge)
 }
@@ -459,12 +701,12 @@ where
 /// tasks that overlap the main thread rather than fan out from it (the
 /// storage layer's I/O prefetcher is the canonical user).
 ///
-/// Unlike the scoped primitives above, a `Background` outlives the call
-/// that spawned it; the closure must therefore have its own exit condition
+/// Unlike a parallel region, a `Background` outlives the call that
+/// spawned it; the closure must therefore have its own exit condition
 /// (typically a disconnected channel). Dropping the handle joins the
 /// thread, so a `Background` can never outlive the owner that holds it —
-/// the same "no detached threads" discipline the scoped primitives
-/// enforce, stretched over an object lifetime instead of a call.
+/// the discipline a parallel region keeps (no task outlives its region),
+/// stretched over an object lifetime instead of a call.
 ///
 /// A worker panic is contained: it surfaces when the owner joins (via
 /// [`Background::join`]) as `Err(message)`, and is swallowed on implicit
@@ -549,11 +791,21 @@ mod tests {
     }
 
     #[test]
-    fn clamped_serializes_small_work_only() {
+    fn for_work_serializes_below_the_grain_only() {
         let cfg = ParConfig::with_threads(8);
-        assert!(cfg.clamped(100, 1000).is_serial());
-        assert_eq!(cfg.clamped(1000, 1000).threads(), 8);
-        assert_eq!(cfg.clamped(5000, 1000).threads(), 8);
+        assert!(cfg.for_work(PAR_GRAIN - 1).is_serial());
+        assert_eq!(cfg.for_work(PAR_GRAIN).threads(), 8);
+        assert_eq!(cfg.for_work(PAR_GRAIN * 4).threads(), 8);
+    }
+
+    #[test]
+    fn for_work_is_serial_inside_a_pool_task() {
+        let cfg = ParConfig::with_threads(2);
+        let agree = par_map(&cfg, &[(); 4], |_, ()| {
+            Ok::<_, ()>(IN_TASK.get() == cfg.for_work(PAR_GRAIN).is_serial())
+        })
+        .unwrap();
+        assert!(agree.into_iter().all(|ok| ok));
     }
 
     #[test]
@@ -712,6 +964,182 @@ mod tests {
             |a, _| a,
         );
         assert_eq!(acc, 42);
+    }
+
+    /// Bits of a three-level nested computation: `par_map` over items,
+    /// `par_chunks_mut` over each item's output, `par_chunks_reduce` per
+    /// output element. Also checks that the inner regions ran inline, on
+    /// the thread that owns the item.
+    fn nested_bits(cfg: &ParConfig) -> Vec<Vec<u64>> {
+        let items: Vec<usize> = (0..6).collect();
+        par_map(cfg, &items, |_, &x| {
+            let owner = std::thread::current().id();
+            let mut out = vec![0.0f64; 40];
+            par_chunks_mut(cfg, &mut out, 5, |ci, chunk| {
+                assert_eq!(
+                    std::thread::current().id(),
+                    owner,
+                    "nested region fanned out"
+                );
+                for (j, v) in chunk.iter_mut().enumerate() {
+                    *v = par_chunks_reduce(
+                        cfg,
+                        500,
+                        64,
+                        || 0.0f64,
+                        |range, acc| {
+                            assert_eq!(std::thread::current().id(), owner);
+                            for i in range {
+                                *acc += 1.0 / ((i + x + ci * 5 + j) as f64 + 1.0);
+                            }
+                        },
+                        |a, b| a + b,
+                    );
+                }
+            });
+            Ok::<_, ()>(out.iter().map(|v| v.to_bits()).collect())
+        })
+        .unwrap()
+    }
+
+    #[test]
+    fn back_to_back_regions_reuse_the_pool_threads() {
+        let seen = Mutex::new(std::collections::HashSet::new());
+        let note = || {
+            lock(&seen).insert(std::thread::current().id());
+        };
+        let cfg = ParConfig::with_threads(4);
+        let items: Vec<usize> = (0..8).collect();
+        for _ in 0..1000 {
+            let mut data = vec![0u8; 64];
+            par_chunks_mut(&cfg, &mut data, 8, |_, _| note());
+            par_map(&cfg, &items, |_, _| {
+                note();
+                Ok::<_, ()>(())
+            })
+            .unwrap();
+            par_chunks_reduce(&cfg, 64, 8, || (), |_, ()| note(), |(), ()| ());
+        }
+        let distinct = lock(&seen).len();
+        assert!(
+            distinct <= hardware_threads(),
+            "{distinct} threads ran tasks on {} cores",
+            hardware_threads()
+        );
+        assert_eq!(pool_workers(), hardware_threads() - 1);
+    }
+
+    #[test]
+    fn nested_regions_run_inline_with_serial_bits() {
+        let reference = nested_bits(&ParConfig::serial());
+        for t in [2usize, 4, 7] {
+            assert_eq!(
+                nested_bits(&ParConfig::with_threads(t)),
+                reference,
+                "threads={t}"
+            );
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_each_get_their_own_bits() {
+        let reference = nested_bits(&ParConfig::serial());
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for caller in 0..8usize {
+                let (reference, start) = (&reference, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let cfg = ParConfig::with_threads(2 + caller % 3);
+                    for _ in 0..20 {
+                        assert_eq!(&nested_bits(&cfg), reference, "caller {caller}");
+                        let mut data = vec![0usize; 257];
+                        par_chunks_mut(&cfg, &mut data, 16, |idx, chunk| {
+                            chunk.iter_mut().for_each(|v| *v = idx * 1000 + caller);
+                        });
+                        assert!(data
+                            .iter()
+                            .enumerate()
+                            .all(|(i, &v)| v == (i / 16) * 1000 + caller));
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn task_panic_leaves_the_pool_usable() {
+        let cfg = ParConfig::with_threads(4);
+        let items: Vec<usize> = (0..32).collect();
+        let err = par_map(&cfg, &items, |_, &x| -> Result<usize, ()> {
+            assert!(x != 5, "item {x} exploded");
+            Ok(x)
+        })
+        .unwrap_err();
+        assert!(matches!(err, ParError::Panic { ref message } if message.contains("item 5")));
+
+        let unwound = catch_unwind(AssertUnwindSafe(|| {
+            let mut data = vec![0u32; 64];
+            par_chunks_mut(&cfg, &mut data, 4, |idx, _| {
+                assert!(idx != 9, "chunk {idx} exploded")
+            });
+        }))
+        .unwrap_err();
+        assert!(panic_message(unwound.as_ref()).contains("chunk 9"));
+
+        let out = par_map(&cfg, &items, |_, &x| Ok::<_, ()>(x * 2)).unwrap();
+        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn budget_above_the_hardware_is_bitwise_serial() {
+        let (serial, wide) = (ParConfig::with_threads(1), ParConfig::with_threads(7));
+        let items: Vec<f64> = (0..50).map(|i| i as f64 * 0.37).collect();
+        let map = |cfg: &ParConfig| -> Vec<u64> {
+            par_map(cfg, &items, |i, &x| {
+                Ok::<_, ()>((x.sin() * i as f64).to_bits())
+            })
+            .unwrap()
+        };
+        assert_eq!(map(&wide), map(&serial));
+
+        let owned = |cfg: &ParConfig| -> Vec<u64> {
+            par_map_owned(cfg, items.clone(), |i, x| {
+                Ok::<_, ()>((x.exp() + i as f64).to_bits())
+            })
+            .unwrap()
+        };
+        assert_eq!(owned(&wide), owned(&serial));
+
+        let chunks = |cfg: &ParConfig| -> Vec<u64> {
+            let mut out = vec![0.0f64; 203];
+            par_chunks_mut_scratch(
+                cfg,
+                &mut out,
+                29,
+                Vec::new,
+                |idx, chunk, scratch: &mut Vec<f64>| {
+                    scratch.clear();
+                    scratch.extend((0..chunk.len()).map(|j| ((idx * 29 + j) as f64).sqrt()));
+                    chunk.copy_from_slice(scratch);
+                },
+            );
+            out.iter().map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(chunks(&wide), chunks(&serial));
+
+        let reduce = |cfg: &ParConfig| -> u64 {
+            par_chunks_reduce(
+                cfg,
+                10_000,
+                333,
+                || 0.0f64,
+                |range, acc| range.for_each(|i| *acc += (i as f64).ln_1p()),
+                |a, b| a + b,
+            )
+            .to_bits()
+        };
+        assert_eq!(reduce(&wide), reduce(&serial));
     }
 
     #[test]

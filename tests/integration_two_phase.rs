@@ -1,6 +1,6 @@
 //! Cross-crate integration tests of the full two-phase pipeline.
 
-use tpcp_datasets::{ensemble_like, low_rank_dense};
+use tpcp_datasets::{ensemble_like, low_rank_dense, ModelBlockSource};
 use tpcp_partition::{split_dense, Grid};
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
@@ -170,4 +170,72 @@ fn four_mode_tensor_end_to_end() {
     .decompose_dense(&x)
     .unwrap();
     assert!(outcome.fit > 0.9, "fit {}", outcome.fit);
+}
+
+/// Everything a run must reproduce bit for bit at any thread budget:
+/// factors and weights, the exact fit, the Phase-2 fit trace and the swap
+/// counts.
+type RunBits = (Vec<Vec<u64>>, u64, Vec<u64>, Vec<u64>);
+
+fn run_bits(outcome: &twopcp::TwoPcpOutcome) -> RunBits {
+    let to_bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let mut arrays = vec![to_bits(&outcome.model.weights)];
+    arrays.extend(outcome.model.factors.iter().map(|f| to_bits(f.as_slice())));
+    (
+        arrays,
+        outcome.fit.to_bits(),
+        to_bits(&outcome.phase2.fit_trace),
+        outcome.phase2.swaps_per_iteration.clone(),
+    )
+}
+
+/// Whole-pipeline thread invariance on both sides of the fan-out grain:
+/// in-memory and streamed runs at budgets {1, 2, 4, 7} (7 exceeds most
+/// hosts) give the bits of the 1-thread run. Phase 1 fans out over blocks
+/// with each block's kernels inline; Phase 2 fans out per product only
+/// above `tpcp_par::PAR_GRAIN` multiply-adds.
+#[test]
+fn pipeline_is_thread_invariant_across_the_grain() {
+    use tpcp_par::PAR_GRAIN;
+    // 4×4×4 grid of 8³ blocks at rank 8: every Phase-2 product
+    // (8 rows × 8 × 8) stays below the grain.
+    let fine = ([32usize, 32, 32], 8usize, 4usize);
+    // 2×2×2 grid at rank 64: the 64-row slabs of modes 0 and 1 make
+    // Phase-2 products of 64 × 64 × 64 multiply-adds, at the grain (which
+    // fans out).
+    let coarse = ([128usize, 128, 2], 64usize, 2usize);
+    const { assert!(8 * 8 * 8 < PAR_GRAIN && 64 * 64 * 64 >= PAR_GRAIN) };
+
+    for (dims, rank, parts) in [fine, coarse] {
+        let cfg = |threads: usize| {
+            TwoPcpConfig::new(rank)
+                .compress_off()
+                .parts(vec![parts])
+                .phase1(Phase1Options::default().max_iters(2))
+                .max_virtual_iters(2)
+                .tol(0.0)
+                .seed(11)
+                .threads(threads)
+        };
+        let x = low_rank_dense(&dims, rank, 0.05, 17);
+        let run = |threads: usize| -> [RunBits; 2] {
+            let dense = TwoPcp::new(cfg(threads)).decompose_dense(&x).unwrap();
+            let mut src = ModelBlockSource::low_rank(&dims, rank, 17);
+            let streamed = TwoPcp::new(cfg(threads))
+                .decompose_source(&mut src)
+                .unwrap();
+            [run_bits(&dense), run_bits(&streamed)]
+        };
+        let reference = run(1);
+        assert!(
+            reference[0].1 != 0.0f64.to_bits(),
+            "dims {dims:?}: zero fit"
+        );
+        for threads in [2usize, 4, 7] {
+            assert!(
+                run(threads) == reference,
+                "dims {dims:?} rank {rank}: threads {threads} diverge from 1"
+            );
+        }
+    }
 }
