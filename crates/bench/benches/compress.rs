@@ -22,7 +22,7 @@ use std::time::Instant;
 use tpcp_cp::{CompressOptions, CpModel};
 use tpcp_linalg::Mat;
 use tpcp_tensor::{random_factor, DenseTensor};
-use twopcp::{KernelKind, TwoPcp, TwoPcpConfig, TwoPcpOutcome};
+use twopcp::{TwoPcp, TwoPcpConfig, TwoPcpOutcome};
 
 /// Where the machine-readable artifact lands (the workspace root).
 const ARTIFACT_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_compress.json");
@@ -136,7 +136,6 @@ fn run(case: &Case, compress: bool) -> TwoPcpOutcome {
 }
 
 fn bench_compress(c: &mut Criterion) {
-    let kernel = KernelKind::auto().resolved().label();
     let cases = cases();
     let mut cells = Vec::new();
 
@@ -147,6 +146,7 @@ fn bench_compress(c: &mut Criterion) {
         let compress_out = run(case, true);
         let compress_fit = compress_out.fit;
         let prov = compress_out.compress.expect("compress run has provenance");
+        let kernel = config(case, false).kernel.resolved().label();
 
         group.bench_function(format!("{}_exact_{kernel}", case.label), |b| {
             b.iter(|| black_box(run(case, false)))

@@ -20,7 +20,7 @@
 //! transport wins clearly on stable pages (the `read_*` cells, prefetch
 //! readers, container maps) and is parity on the write-back-heavy refine
 //! loop, where every overwrite retires a mapping — which is why the
-//! `TPCP_MMAP` knob defaults off and the codec change does not.
+//! mmap knob defaults off and the codec change does not.
 //!
 //! A one-shot accounted pass per cell is written to
 //! `BENCH_zero_copy.json` at the workspace root (decode ns/page,

@@ -3,8 +3,10 @@
 //! Usage: `cargo run -p tpcp-bench --release --bin table1 [--full]`
 
 use tpcp_bench::{args, table1};
+use twopcp::EnvOverrides;
 
 fn main() {
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| args::exit_usage(e));
     let dir = args::scratch_dir("table1");
     let cfg = if args::flag("full") {
         table1::Table1Config::full(dir.clone())
@@ -15,7 +17,7 @@ fn main() {
         "running Table I sweep: sides {:?} (this runs both systems per size)…",
         cfg.sides
     );
-    let rows = table1::run(&cfg);
+    let rows = table1::run(&cfg, &env);
     println!("{}", table1::render(&cfg, &rows));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -3,8 +3,10 @@
 //! Usage: `cargo run -p tpcp-bench --release --bin table2 [--full]`
 
 use tpcp_bench::{args, table2};
+use twopcp::EnvOverrides;
 
 fn main() {
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| args::exit_usage(e));
     let dir = args::scratch_dir("table2");
     let cfg = if args::flag("full") {
         table2::Table2Config::full(dir.clone())
@@ -18,7 +20,7 @@ fn main() {
         cfg.rank,
         cfg.parts.len()
     );
-    let result = table2::run(&cfg);
+    let result = table2::run(&cfg, &env);
     println!("{}", table2::render(&cfg, &result));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,7 +17,7 @@ use tpcp_datasets::{ciao_like, enron_like, epinions_like, face_like};
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
 use tpcp_tensor::{DenseTensor, SparseTensor};
-use twopcp::{TwoPcp, TwoPcpConfig};
+use twopcp::{EnvOverrides, TwoPcp, TwoPcpConfig};
 
 /// The datasets of Figure 13, in the paper's order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,15 +127,13 @@ fn load(dataset: Fig13Dataset, cfg: &Fig13Config) -> Data {
 fn run_one(
     data: &Data,
     cfg: &Fig13Config,
+    env: &EnvOverrides,
     grid: usize,
     schedule: ScheduleKind,
     budget: usize,
 ) -> f64 {
-    // Fig. 13 measures the two-phase schedule/budget trade-off; pin the
-    // compressed mode off so a TPCP_COMPRESS=1 environment can't replace
-    // what it measures.
-    let config = TwoPcpConfig::new(cfg.rank)
-        .compress_off()
+    let config = env
+        .apply(TwoPcpConfig::new(cfg.rank))
         .parts(vec![grid])
         .schedule(schedule)
         .policy(PolicyKind::Forward)
@@ -152,26 +150,31 @@ fn run_one(
     outcome.fit
 }
 
-/// Runs the sweep (`datasets × grids × budgets × schedules`).
+/// Runs the sweep (`datasets × grids × budgets × schedules`), applying
+/// `env` to every 2PCP configuration.
 ///
 /// # Panics
 /// Panics on configuration errors.
-pub fn run(cfg: &Fig13Config) -> Vec<Fig13Cell> {
-    run_subset(cfg, &Fig13Dataset::ALL)
+pub fn run(cfg: &Fig13Config, env: &EnvOverrides) -> Vec<Fig13Cell> {
+    run_subset(cfg, &Fig13Dataset::ALL, env)
 }
 
 /// Runs the sweep on a subset of datasets (used by tests and benches).
 ///
 /// # Panics
 /// Panics on configuration errors.
-pub fn run_subset(cfg: &Fig13Config, datasets: &[Fig13Dataset]) -> Vec<Fig13Cell> {
+pub fn run_subset(
+    cfg: &Fig13Config,
+    datasets: &[Fig13Dataset],
+    env: &EnvOverrides,
+) -> Vec<Fig13Cell> {
     let mut cells = Vec::new();
     for &dataset in datasets {
         let data = load(dataset, cfg);
         for &grid in &cfg.grids {
             for &budget in &cfg.budgets {
                 for schedule in ScheduleKind::ALL {
-                    let fit = run_one(&data, cfg, grid, schedule, budget);
+                    let fit = run_one(&data, cfg, env, grid, schedule, budget);
                     cells.push(Fig13Cell {
                         dataset,
                         grid,
@@ -270,7 +273,7 @@ mod tests {
             face_scale: 16,
             ..Fig13Config::scaled()
         };
-        let cells = run_subset(&cfg, &[Fig13Dataset::Face]);
+        let cells = run_subset(&cfg, &[Fig13Dataset::Face], &EnvOverrides::default());
         assert_eq!(cells.len(), 4);
         for cell in &cells {
             if cell.schedule != ScheduleKind::ModeCentric {
@@ -291,7 +294,7 @@ mod tests {
             budgets: vec![20],
             ..Fig13Config::scaled()
         };
-        let cells = run_subset(&cfg, &[Fig13Dataset::Epinions]);
+        let cells = run_subset(&cfg, &[Fig13Dataset::Epinions], &EnvOverrides::default());
         assert_eq!(cells.len(), 2 * 4);
         for cell in &cells {
             assert!(cell.fit.is_finite(), "{cell:?}");

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 use tpcp_datasets::dense_uniform;
 use tpcp_haten2::{haten2_cp, Haten2Config};
 use tpcp_tensor::SparseTensor;
-use twopcp::{TwoPcp, TwoPcpConfig};
+use twopcp::{EnvOverrides, TwoPcp, TwoPcpConfig};
 
 /// Configuration of the Table I experiment.
 #[derive(Clone, Debug)]
@@ -90,11 +90,11 @@ pub struct Table1Row {
     pub haten2_fit: Option<f64>,
 }
 
-/// Runs the sweep.
+/// Runs the sweep, applying `env` to every 2PCP configuration.
 ///
 /// # Panics
 /// Panics on configuration errors (the harness treats those as bugs).
-pub fn run(cfg: &Table1Config) -> Vec<Table1Row> {
+pub fn run(cfg: &Table1Config, env: &EnvOverrides) -> Vec<Table1Row> {
     let mut rows = Vec::new();
     for (i, &side) in cfg.sides.iter().enumerate() {
         let dims = [side, side, side];
@@ -103,13 +103,8 @@ pub fn run(cfg: &Table1Config) -> Vec<Table1Row> {
 
         // ---- 2PCP ---------------------------------------------------------
         let t0 = Instant::now();
-        // Table I compares the two-phase engine against the HaTen2
-        // baseline on dense-uniform data — the compressed mode's
-        // documented worst case; pin it off so a TPCP_COMPRESS=1
-        // environment can't replace what it measures.
         let outcome = TwoPcp::new(
-            TwoPcpConfig::new(cfg.rank)
-                .compress_off()
+            env.apply(TwoPcpConfig::new(cfg.rank))
                 .parts(vec![cfg.parts])
                 .max_virtual_iters(cfg.twopcp_virtual_iters)
                 .tol(1e-2)
@@ -233,7 +228,7 @@ mod tests {
             haten2_memory_cap: Some(20 << 10),
             ..Table1Config::scaled(dir.clone())
         };
-        let rows = run(&cfg);
+        let rows = run(&cfg, &EnvOverrides::default());
         assert_eq!(rows.len(), 2);
         assert!(rows[0].haten2_time.is_some(), "small size must pass");
         assert!(rows[1].haten2_time.is_none(), "large size must FAIL");

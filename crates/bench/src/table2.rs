@@ -18,7 +18,7 @@ use tpcp_datasets::dense_uniform;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
 use tpcp_tensor::DenseTensor;
-use twopcp::{naive_cp_out_of_core, KernelKind, NaiveOocOptions, TwoPcp, TwoPcpConfig};
+use twopcp::{naive_cp_out_of_core, EnvOverrides, NaiveOocOptions, TwoPcp, TwoPcpConfig};
 
 /// Configuration of the Table II experiment.
 #[derive(Clone, Debug)]
@@ -113,34 +113,42 @@ pub struct Table2Result {
     pub naive_bytes_read: u64,
     /// Per-partitioning rows.
     pub rows: Vec<Table2Row>,
+    /// Kernel backend every 2PCP row ran (`KernelKind::label` of the
+    /// resolved config).
+    pub kernel: &'static str,
+    /// Whether every 2PCP row's Phase 1 ran the dimension-tree MTTKRP.
+    pub dimtree: bool,
+}
+
+/// The 2PCP configuration of one `(parts, policy)` cell: the defaults
+/// with `env` applied, then the experiment's settings.
+fn variant_config(
+    cfg: &Table2Config,
+    env: &EnvOverrides,
+    parts: usize,
+    policy: PolicyKind,
+) -> TwoPcpConfig {
+    env.apply(TwoPcpConfig::new(cfg.rank))
+        .parts(vec![parts])
+        .schedule(ScheduleKind::ZOrder)
+        .policy(policy)
+        .buffer_fraction(cfg.buffer_fraction)
+        .max_virtual_iters(cfg.max_virtual_iters)
+        .tol(1e-2)
+        .seed(cfg.seed)
+        .work_dir(
+            cfg.work_dir
+                .join(format!("t2_p{parts}_{}", policy.abbrev())),
+        )
 }
 
 fn run_variant(
     x: &DenseTensor,
-    cfg: &Table2Config,
-    parts: usize,
-    policy: PolicyKind,
+    config: TwoPcpConfig,
 ) -> (Duration, Duration, twopcp::RefineStats, f64) {
-    let outcome = TwoPcp::new(
-        // Table II reproduces the paper's two-phase experiment (phase
-        // timings, swap counts); pin the compressed mode off so a
-        // TPCP_COMPRESS=1 environment can't replace what it measures.
-        TwoPcpConfig::new(cfg.rank)
-            .compress_off()
-            .parts(vec![parts])
-            .schedule(ScheduleKind::ZOrder)
-            .policy(policy)
-            .buffer_fraction(cfg.buffer_fraction)
-            .max_virtual_iters(cfg.max_virtual_iters)
-            .tol(1e-2)
-            .seed(cfg.seed)
-            .work_dir(
-                cfg.work_dir
-                    .join(format!("t2_p{parts}_{}", policy.abbrev())),
-            ),
-    )
-    .decompose_dense(x)
-    .expect("2PCP run failed");
+    let outcome = TwoPcp::new(config)
+        .decompose_dense(x)
+        .expect("2PCP run failed");
     (
         outcome.phase1_time,
         outcome.phase2_time,
@@ -149,11 +157,11 @@ fn run_variant(
     )
 }
 
-/// Runs the experiment.
+/// Runs the experiment, applying `env` to every 2PCP configuration.
 ///
 /// # Panics
 /// Panics on configuration errors.
-pub fn run(cfg: &Table2Config) -> Table2Result {
+pub fn run(cfg: &Table2Config, env: &EnvOverrides) -> Table2Result {
     let dims = [cfg.side, cfg.side, cfg.side];
     let x = dense_uniform(&dims, cfg.density, cfg.seed);
 
@@ -174,9 +182,13 @@ pub fn run(cfg: &Table2Config) -> Table2Result {
     let naive_time = t0.elapsed();
 
     let mut rows = Vec::new();
+    // Every cell shares these two knobs; the title reports them.
+    let probe = variant_config(cfg, env, 1, PolicyKind::Lru);
     for &parts in &cfg.parts {
-        let (p1_lru, p2_lru, st_lru, _) = run_variant(&x, cfg, parts, PolicyKind::Lru);
-        let (_, p2_for, st_for, _) = run_variant(&x, cfg, parts, PolicyKind::Forward);
+        let lru = variant_config(cfg, env, parts, PolicyKind::Lru);
+        let (p1_lru, p2_lru, st_lru, _) = run_variant(&x, lru);
+        let forward = variant_config(cfg, env, parts, PolicyKind::Forward);
+        let (_, p2_for, st_for, _) = run_variant(&x, forward);
         let (io_lru, io_for) = (&st_lru.io, &st_for.io);
         let blocks = parts.pow(3) as u32;
         rows.push(Table2Row {
@@ -198,6 +210,8 @@ pub fn run(cfg: &Table2Config) -> Table2Result {
         naive_fit: naive.fit,
         naive_bytes_read: naive.bytes_read,
         rows,
+        kernel: probe.kernel.resolved().label(),
+        dimtree: probe.dimtree,
     }
 }
 
@@ -235,11 +249,8 @@ pub fn render(cfg: &Table2Config, result: &Table2Result) -> String {
         dens = cfg.density,
         rank = cfg.rank,
         buf = cfg.buffer_fraction,
-        // The runs above dispatch through the same Auto resolution /
-        // TPCP_DIMTREE default, so these are the backend and MTTKRP path
-        // every Phase-1/Phase-2 row actually ran.
-        kern = KernelKind::auto().resolved().label(),
-        dt = if tpcp_cp::dimtree_auto() { "on" } else { "off" },
+        kern = result.kernel,
+        dt = if result.dimtree { "on" } else { "off" },
     );
     out.push_str(&render_table(
         &[
@@ -295,7 +306,14 @@ mod tests {
             naive_max_iters: 4,
             ..Table2Config::scaled(dir.clone())
         };
-        let result = run(&cfg);
+        // Non-default knobs, so the title must come from the config that
+        // ran, not from the defaults.
+        let env = EnvOverrides {
+            kernel: Some(twopcp::KernelKind::Reference),
+            dimtree: Some(true),
+            ..Default::default()
+        };
+        let result = run(&cfg, &env);
         assert_eq!(result.rows.len(), 1);
         let row = &result.rows[0];
         assert!(
@@ -308,12 +326,8 @@ mod tests {
         assert!(table.contains("Naive CP (OOC)"));
         assert!(table.contains("2x2x2"));
         assert!(
-            table.contains(" kernels,"),
-            "title must attribute the active kernel backend"
-        );
-        assert!(
-            table.contains(", dimtree on)") || table.contains(", dimtree off)"),
-            "title must attribute the active MTTKRP path"
+            table.contains("reference kernels, dimtree on)"),
+            "title must attribute the kernel backend and MTTKRP path that ran: {table}"
         );
         assert!(
             table.contains("Q-Hadamard fold"),

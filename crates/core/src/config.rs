@@ -3,16 +3,16 @@
 use crate::{Result, TwoPcpError};
 use std::path::PathBuf;
 use tpcp_cp::CompressOptions;
-use tpcp_linalg::{KernelKind, KERNEL_ENV_VAR};
+use tpcp_linalg::KernelKind;
 use tpcp_par::ParConfig;
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::{PolicyKind, PrefetchConfig};
 
-/// An invalid configuration detected by a builder's `build()`.
+/// An invalid configuration: a malformed `TPCP_*` value
+/// ([`EnvOverrides::parse`]).
 ///
 /// Converts into [`TwoPcpError::Config`] at the pipeline boundary, so
-/// `?` works in driver code while builder call sites keep the precise
-/// type.
+/// `?` works in driver code while call sites keep the precise type.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConfigError {
     /// What was wrong with the configuration.
@@ -41,20 +41,25 @@ impl From<ConfigError> for TwoPcpError {
     }
 }
 
-/// Name of the environment variable giving `tpcp-serve` / `tpcp-query`
-/// their default address.
-pub const SERVE_ADDR_ENV_VAR: &str = "TPCP_SERVE_ADDR";
-
-/// Every `TPCP_*` environment override, parsed once.
+/// Every `TPCP_*` environment override, parsed once, strictly.
 ///
-/// The individual crates own their variables' grammar ([`ParConfig`],
-/// [`PrefetchConfig`], [`tpcp_storage::shards_auto`],
-/// [`tpcp_storage::mmap_auto`]); this type records *which* variables are
-/// actually set and their parsed values, and [`TwoPcpConfig::new`] is
-/// the single place in the driver that applies them — everything built
-/// on a config (examples, tests, the serving daemon) inherits the
-/// environment through it.
-#[derive(Clone, Debug, Default)]
+/// This is the only code in the workspace that reads the environment, and
+/// only binaries and examples call it — once, in `main`, applying the
+/// result to every config they build ([`EnvOverrides::apply`]). Libraries
+/// take explicit configuration only. Unset variables stay `None`; a set
+/// variable that does not parse is a [`ConfigError`] naming the variable
+/// and its value.
+///
+/// | variable | grammar |
+/// |---|---|
+/// | `TPCP_THREADS`, `TPCP_SHARDS` | a positive integer |
+/// | `TPCP_PREFETCH` | `0`/`off`/`false`, or a positive pipeline depth |
+/// | `TPCP_MMAP`, `TPCP_DIMTREE`, `TPCP_COMPRESS` | `1`/`on`/`true`/`yes` or `0`/`off`/`false`/`no` |
+/// | `TPCP_KERNEL` | `reference`/`tiled`/`auto` |
+/// | `TPCP_SERVE_ADDR` | any address string |
+///
+/// Values are trimmed and matched without regard to case.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EnvOverrides {
     /// `TPCP_THREADS` → shared worker-thread budget.
     pub par: Option<ParConfig>,
@@ -62,7 +67,8 @@ pub struct EnvOverrides {
     pub prefetch: Option<PrefetchConfig>,
     /// `TPCP_SHARDS` → unit-store shard count.
     pub shards: Option<usize>,
-    /// `TPCP_MMAP` → zero-copy page read path.
+    /// `TPCP_MMAP` → zero-copy page read path (unit stores and the
+    /// serving registry's model loads).
     pub mmap: Option<bool>,
     /// `TPCP_KERNEL` → compute-kernel backend.
     pub kernel: Option<KernelKind>,
@@ -70,27 +76,75 @@ pub struct EnvOverrides {
     pub dimtree: Option<bool>,
     /// `TPCP_COMPRESS` → compress-then-decompose pipeline in the driver.
     pub compress: Option<bool>,
-    /// `TPCP_SERVE_ADDR` → serving daemon listen address.
+    /// `TPCP_SERVE_ADDR` → serving daemon / client address.
     pub serve_addr: Option<String>,
 }
 
 impl EnvOverrides {
-    /// Reads every override from the process environment. Variables that
-    /// are unset stay `None`; set variables parse under their owning
-    /// crate's rules (malformed values fall back to that crate's
-    /// defaults, exactly as before this type existed).
-    pub fn from_env() -> Self {
-        let set = |name: &str| std::env::var_os(name).is_some();
-        EnvOverrides {
-            par: set(tpcp_par::THREADS_ENV_VAR).then(ParConfig::auto),
-            prefetch: set(tpcp_storage::PREFETCH_ENV_VAR).then(PrefetchConfig::auto),
-            shards: set(tpcp_storage::SHARDS_ENV_VAR).then(tpcp_storage::shards_auto),
-            mmap: set(tpcp_storage::MMAP_ENV_VAR).then(tpcp_storage::mmap_auto),
-            kernel: set(KERNEL_ENV_VAR).then(KernelKind::auto),
-            dimtree: set(tpcp_cp::DIMTREE_ENV_VAR).then(tpcp_cp::dimtree_auto),
-            compress: set(tpcp_cp::COMPRESS_ENV_VAR).then(tpcp_cp::compress_auto),
-            serve_addr: std::env::var(SERVE_ADDR_ENV_VAR).ok(),
+    /// Parses every override from the process environment.
+    ///
+    /// # Errors
+    /// [`ConfigError`] naming the first variable whose value does not
+    /// parse (a value that is not valid Unicode never parses).
+    pub fn from_env() -> std::result::Result<Self, ConfigError> {
+        Self::parse(|name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// Parses every override from `lookup`, which maps a variable name to
+    /// its value (`None` = unset). Pure, so tests need not touch the
+    /// process environment.
+    ///
+    /// # Errors
+    /// [`ConfigError`] naming the first variable whose value does not
+    /// parse.
+    pub fn parse(
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> std::result::Result<Self, ConfigError> {
+        fn var<T>(
+            lookup: &impl Fn(&str) -> Option<String>,
+            name: &str,
+            expected: &str,
+            grammar: impl Fn(&str) -> Option<T>,
+        ) -> std::result::Result<Option<T>, ConfigError> {
+            lookup(name)
+                .map(|v| {
+                    grammar(&v.trim().to_ascii_lowercase()).ok_or_else(|| {
+                        ConfigError::new(format!(
+                            "{name}: invalid value {v:?} (expected {expected})"
+                        ))
+                    })
+                })
+                .transpose()
         }
+        const BOOL: &str = "1/on/true/yes or 0/off/false/no";
+        let flag = |v: &str| match v {
+            "1" | "on" | "true" | "yes" => Some(true),
+            "0" | "off" | "false" | "no" => Some(false),
+            _ => None,
+        };
+        let positive = |v: &str| v.parse::<usize>().ok().filter(|&n| n > 0);
+        Ok(EnvOverrides {
+            par: var(&lookup, "TPCP_THREADS", "a positive integer", |v| {
+                positive(v).map(ParConfig::with_threads)
+            })?,
+            prefetch: var(
+                &lookup,
+                "TPCP_PREFETCH",
+                "0/off/false or a positive depth",
+                |v| match v {
+                    "0" | "off" | "false" => Some(PrefetchConfig::disabled()),
+                    _ => positive(v).map(PrefetchConfig::with_depth),
+                },
+            )?,
+            shards: var(&lookup, "TPCP_SHARDS", "a positive integer", positive)?,
+            mmap: var(&lookup, "TPCP_MMAP", BOOL, flag)?,
+            kernel: var(&lookup, "TPCP_KERNEL", "reference/tiled/auto", |v| {
+                v.parse().ok()
+            })?,
+            dimtree: var(&lookup, "TPCP_DIMTREE", BOOL, flag)?,
+            compress: var(&lookup, "TPCP_COMPRESS", BOOL, flag)?,
+            serve_addr: lookup("TPCP_SERVE_ADDR"),
+        })
     }
 
     /// Applies the set overrides to `config`, leaving unset knobs alone.
@@ -218,41 +272,38 @@ pub struct TwoPcpConfig {
     pub phase1: Phase1Options,
     /// The shared thread budget: Phase-1 block workers, Phase-2 cache
     /// refreshes and every MTTKRP/matmul kernel underneath draw from this
-    /// one [`ParConfig`] (defaults to [`ParConfig::auto`], i.e. the
-    /// `TPCP_THREADS` override or all available cores). Parallel execution
-    /// is deterministic — results are bit-identical for any budget.
+    /// one [`ParConfig`] (defaults to [`ParConfig::auto`], all available
+    /// cores). Parallel execution is deterministic — results are
+    /// bit-identical for any budget.
     pub par: ParConfig,
     /// The Phase-2 asynchronous prefetch pipeline: a background worker
     /// walks the deterministic update schedule ahead of the refiner and
     /// stages upcoming units, overlapping disk reads with compute
-    /// (defaults to [`PrefetchConfig::auto`], i.e. the `TPCP_PREFETCH`
-    /// override or an enabled depth-4 pipeline). Prefetch moves bytes,
+    /// (defaults to an enabled depth-4 pipeline). Prefetch moves bytes,
     /// never values — fit traces, factors and swap counts are
     /// bit-identical with the pipeline on or off.
     pub prefetch: PrefetchConfig,
     /// Number of unit-store shards the driver routes data-access units
     /// across ([`tpcp_storage::ShardedStore`]): Phase 1 emits units
-    /// shard-by-shard and Phase 2 reads route transparently (defaults to
-    /// [`tpcp_storage::shards_auto`], i.e. the `TPCP_SHARDS` override or
-    /// a single unsharded store). Sharding moves bytes, never values —
+    /// shard-by-shard and Phase 2 reads route transparently (defaults to a
+    /// single unsharded store). Sharding moves bytes, never values —
     /// factors, fits and swap counts are bit-identical at any shard
     /// count.
     pub shards: usize,
     /// The zero-copy page read path: with mmap on, the on-disk unit
     /// stores decode pages directly from memory maps — no scratch-buffer
     /// copy — and hand the buffer pool borrowed page slabs, so a resident
-    /// unit materialises with exactly one copy (map → `Mat`). Defaults to
-    /// [`tpcp_storage::mmap_auto`], i.e. the `TPCP_MMAP` override or off.
-    /// Mmap moves bytes, never values — factors, fits and swap counts are
-    /// bit-identical with the flag on or off; irrelevant for in-memory
-    /// stores (`work_dir: None`).
+    /// unit materialises with exactly one copy (map → `Mat`). Off by
+    /// default. Mmap moves bytes, never values — factors, fits and swap
+    /// counts are bit-identical with the flag on or off; irrelevant for
+    /// in-memory stores (`work_dir: None`).
     pub mmap: bool,
     /// The compute-kernel backend for every dense product under both
     /// phases (matmul/gram/MTTKRP): the reference scalar loops, the
     /// register-blocked tiled microkernels, or automatic selection
-    /// (defaults to [`KernelKind::Auto`], i.e. the `TPCP_KERNEL` override
-    /// or tiled). Backends are bit-identical — factors, fits and swap
-    /// counts never depend on this knob; it trades speed only.
+    /// (defaults to [`KernelKind::Auto`], i.e. tiled). Backends are
+    /// bit-identical — factors, fits and swap counts never depend on this
+    /// knob; it trades speed only.
     pub kernel: KernelKind,
     /// Dimension-tree MTTKRP in the Phase-1 per-block ALS: reuse partial
     /// contractions across the modes of each sweep (~2× fewer flops for
@@ -260,29 +311,24 @@ pub struct TwoPcpConfig {
     /// floating-point contraction order, so Phase-1 factors are
     /// tolerance- rather than bitwise-equivalent to the per-mode path
     /// (`docs/dimtree.md`); swap counts and the Phase-2 schedule are
-    /// unaffected. Defaults to [`tpcp_cp::dimtree_auto`], i.e. the
-    /// `TPCP_DIMTREE` override or off.
+    /// unaffected. Off by default.
     pub dimtree: bool,
     /// Compress-then-decompose (`tpcp-compress`): stream per-mode Tucker
     /// bases, run CP on the small core, expand, then polish against the
     /// original tensor. `Some(options)` replaces the two-phase pipeline
     /// with the compression pipeline; `None` (default) leaves the driver
     /// untouched — the default path is bitwise identical to a build
-    /// without this knob. `TPCP_COMPRESS` enables default options via
-    /// [`EnvOverrides`]. Best on low-multilinear-rank tensors; see
+    /// without this knob. Best on low-multilinear-rank tensors; see
     /// `docs/compress.md` for when not to use it.
     pub compress: Option<CompressOptions>,
 }
 
 impl TwoPcpConfig {
     /// A configuration with the paper's preferred defaults: Hilbert-order
-    /// schedule, forward-looking replacement, 2 partitions per mode.
-    ///
-    /// This is the single place the `TPCP_*` environment overrides enter
-    /// the driver: env-free defaults first, then
-    /// [`EnvOverrides::from_env`] on top.
+    /// schedule, forward-looking replacement, 2 partitions per mode. Never
+    /// reads the environment; binaries layer [`EnvOverrides`] on top.
     pub fn new(rank: usize) -> Self {
-        EnvOverrides::from_env().apply(TwoPcpConfig {
+        TwoPcpConfig {
             rank,
             parts: vec![2],
             schedule: ScheduleKind::HilbertOrder,
@@ -295,24 +341,13 @@ impl TwoPcpConfig {
             work_dir: None,
             init: InitKind::SlabMean,
             phase1: Phase1Options::default(),
-            par: ParConfig::hardware(),
+            par: ParConfig::auto(),
             prefetch: PrefetchConfig::default(),
             shards: 1,
             mmap: false,
             kernel: KernelKind::Auto,
             dimtree: false,
             compress: None,
-        })
-    }
-
-    /// A validating builder over the same defaults as
-    /// [`TwoPcpConfig::new`] (environment overrides included).
-    pub fn builder() -> TwoPcpConfigBuilder {
-        TwoPcpConfigBuilder {
-            config: TwoPcpConfig::new(0),
-            rank_set: false,
-            dimtree_set: false,
-            compress_set: false,
         }
     }
 
@@ -432,33 +467,38 @@ impl TwoPcpConfig {
         self
     }
 
-    /// Disables compress-then-decompose (back to the two-phase pipeline).
-    pub fn compress_off(mut self) -> Self {
-        self.compress = None;
-        self
-    }
-
     /// Resolves the partition vector for an order-`n` tensor (broadcasting
-    /// a singleton) and validates the configuration.
+    /// a singleton) and validates the configuration. Every decomposition
+    /// entry point (both phases, the MapReduce leg and the compression
+    /// pipeline) runs through here before any work starts.
     ///
     /// # Errors
-    /// [`TwoPcpError::Config`] on invalid rank, partitioning or buffer
-    /// fraction.
+    /// [`TwoPcpError::Config`] on a zero rank, a buffer fraction that is
+    /// not positive (NaN included), a zero shard count, an empty,
+    /// mis-sized or zero-containing partition vector, or invalid
+    /// [`CompressOptions`].
     pub fn resolved_parts(&self, order: usize) -> Result<Vec<usize>> {
+        let invalid = |reason: &str| {
+            Err(TwoPcpError::Config {
+                reason: reason.into(),
+            })
+        };
         if self.rank == 0 {
-            return Err(TwoPcpError::Config {
-                reason: "rank must be positive".into(),
-            });
+            return invalid("rank must be positive");
         }
-        if self.buffer_fraction <= 0.0 {
-            return Err(TwoPcpError::Config {
-                reason: "buffer_fraction must be positive".into(),
-            });
+        if buffer_fraction_is_invalid(self.buffer_fraction) {
+            return invalid("buffer_fraction must be positive");
         }
         if self.shards == 0 {
-            return Err(TwoPcpError::Config {
-                reason: "shard count must be positive".into(),
-            });
+            return invalid("shard count must be positive");
+        }
+        if self.parts.is_empty() {
+            return invalid("parts must not be empty");
+        }
+        if let Some(compress) = &self.compress {
+            tpcp_cp::validate_compress_options(compress).map_err(|e| TwoPcpError::Config {
+                reason: format!("compress: {e}"),
+            })?;
         }
         let parts = if self.parts.len() == 1 {
             vec![self.parts[0]; order]
@@ -473,261 +513,31 @@ impl TwoPcpConfig {
             });
         };
         if parts.contains(&0) {
-            return Err(TwoPcpError::Config {
-                reason: "partition counts must be positive".into(),
-            });
+            return invalid("partition counts must be positive");
         }
         Ok(parts)
     }
 }
 
-/// Builder for [`TwoPcpConfig`] whose [`build`](TwoPcpConfigBuilder::build)
-/// rejects invalid settings up front, instead of deferring every mistake
-/// to `resolved_parts` deep inside a run.
-#[derive(Clone, Debug)]
-pub struct TwoPcpConfigBuilder {
-    config: TwoPcpConfig,
-    rank_set: bool,
-    dimtree_set: bool,
-    compress_set: bool,
-}
-
-impl TwoPcpConfigBuilder {
-    /// Sets the decomposition rank `F` (required).
-    pub fn rank(mut self, rank: usize) -> Self {
-        self.config.rank = rank;
-        self.rank_set = true;
-        self
-    }
-
-    /// Sets the per-mode partition counts.
-    pub fn parts(mut self, parts: Vec<usize>) -> Self {
-        self.config = self.config.parts(parts);
-        self
-    }
-
-    /// Sets the Phase-2 update schedule.
-    pub fn schedule(mut self, schedule: ScheduleKind) -> Self {
-        self.config = self.config.schedule(schedule);
-        self
-    }
-
-    /// Sets the buffer replacement policy.
-    pub fn policy(mut self, policy: PolicyKind) -> Self {
-        self.config = self.config.policy(policy);
-        self
-    }
-
-    /// Sets the buffer size as a fraction of the total space requirement.
-    pub fn buffer_fraction(mut self, fraction: f64) -> Self {
-        self.config = self.config.buffer_fraction(fraction);
-        self
-    }
-
-    /// Sets the virtual-iteration budget.
-    pub fn max_virtual_iters(mut self, iters: usize) -> Self {
-        self.config = self.config.max_virtual_iters(iters);
-        self
-    }
-
-    /// Sets the Phase-2 stopping tolerance.
-    pub fn tol(mut self, tol: f64) -> Self {
-        self.config = self.config.tol(tol);
-        self
-    }
-
-    /// Sets the random seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config = self.config.seed(seed);
-        self
-    }
-
-    /// Uses an on-disk unit store rooted at `dir`.
-    pub fn work_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config = self.config.work_dir(dir);
-        self
-    }
-
-    /// Sets the sub-factor initialisation strategy.
-    pub fn init(mut self, init: InitKind) -> Self {
-        self.config = self.config.init(init);
-        self
-    }
-
-    /// Sets the Phase-1 options.
-    pub fn phase1(mut self, phase1: Phase1Options) -> Self {
-        self.config = self.config.phase1(phase1);
-        self
-    }
-
-    /// Sets the shared worker-thread budget (`0` = decide automatically).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config = self.config.threads(threads);
-        self
-    }
-
-    /// Sets the shared thread budget from an explicit [`ParConfig`].
-    pub fn par(mut self, par: ParConfig) -> Self {
-        self.config = self.config.par(par);
-        self
-    }
-
-    /// Sets the Phase-2 prefetch pipeline configuration.
-    pub fn prefetch(mut self, prefetch: PrefetchConfig) -> Self {
-        self.config = self.config.prefetch(prefetch);
-        self
-    }
-
-    /// Sets the unit-store shard count (`1` = unsharded).
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.config = self.config.shards(shards);
-        self
-    }
-
-    /// Switches the zero-copy (mmap-backed) page read path on or off.
-    pub fn mmap(mut self, mmap: bool) -> Self {
-        self.config = self.config.mmap(mmap);
-        self
-    }
-
-    /// Sets the compute-kernel backend (bit-identical across backends;
-    /// trades speed only).
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.config = self.config.kernel(kernel);
-        self
-    }
-
-    /// Switches the Phase-1 dimension-tree MTTKRP path on or off
-    /// (tolerance-, not bitwise-, equivalent to the per-mode path).
-    pub fn dimtree(mut self, dimtree: bool) -> Self {
-        self.config = self.config.dimtree(dimtree);
-        self.dimtree_set = true;
-        self
-    }
-
-    /// Enables compress-then-decompose with explicit [`CompressOptions`]
-    /// (validated at [`build`](TwoPcpConfigBuilder::build)).
-    pub fn compress(mut self, options: CompressOptions) -> Self {
-        self.config = self.config.compress(options);
-        self.compress_set = true;
-        self
-    }
-
-    /// Explicitly disables compress-then-decompose, overriding any
-    /// `TPCP_COMPRESS` environment setting.
-    pub fn compress_off(mut self) -> Self {
-        self.config = self.config.compress_off();
-        self.compress_set = true;
-        self
-    }
-
-    /// Validates and produces the configuration.
-    ///
-    /// # Errors
-    /// [`ConfigError`] when the rank is zero or unset, the buffer
-    /// fraction is not positive, the partition vector is empty or
-    /// contains zeros, the shard count is zero, or the configuration
-    /// leaves the kernel backend (dimtree path) to a `TPCP_KERNEL`
-    /// (`TPCP_DIMTREE`) value that doesn't parse.
-    pub fn build(self) -> std::result::Result<TwoPcpConfig, ConfigError> {
-        let c = &self.config;
-        if !self.rank_set {
-            return Err(ConfigError::new("rank is required — call .rank(F)"));
-        }
-        if c.kernel == KernelKind::Auto {
-            validate_kernel_override(std::env::var(KERNEL_ENV_VAR).ok().as_deref())?;
-        }
-        if !self.dimtree_set {
-            validate_dimtree_override(std::env::var(tpcp_cp::DIMTREE_ENV_VAR).ok().as_deref())?;
-        }
-        if !self.compress_set {
-            validate_compress_override(std::env::var(tpcp_cp::COMPRESS_ENV_VAR).ok().as_deref())?;
-        }
-        if let Some(compress) = &c.compress {
-            tpcp_cp::validate_compress_options(compress)
-                .map_err(|e| ConfigError::new(format!("compress: {e}")))?;
-        }
-        if c.rank == 0 {
-            return Err(ConfigError::new("rank must be positive"));
-        }
-        // `partial_cmp` so NaN (incomparable) is rejected too.
-        if c.buffer_fraction.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-            return Err(ConfigError::new("buffer_fraction must be positive"));
-        }
-        if c.parts.is_empty() {
-            return Err(ConfigError::new("parts must not be empty"));
-        }
-        if c.parts.contains(&0) {
-            return Err(ConfigError::new("partition counts must be positive"));
-        }
-        if c.shards == 0 {
-            return Err(ConfigError::new("shard count must be positive"));
-        }
-        Ok(self.config)
-    }
-}
-
-/// Strict validation of a would-be `TPCP_KERNEL` value, used by
-/// [`TwoPcpConfigBuilder::build`] when the backend is left to the
-/// environment: the lenient readers ([`EnvOverrides::from_env`],
-/// [`KernelKind::auto`]) silently fall back on malformed values, but a
-/// validating build should fail loudly instead of quietly running a
-/// different backend than the operator asked for.
-///
-/// Takes the value as a parameter (rather than reading the environment
-/// itself) so tests can exercise the failure path without mutating
-/// process-global env vars under a parallel test runner.
-fn validate_kernel_override(value: Option<&str>) -> std::result::Result<(), ConfigError> {
-    if let Some(v) = value {
-        v.parse::<KernelKind>()
-            .map_err(|e| ConfigError::new(format!("{KERNEL_ENV_VAR}: {e}")))?;
-    }
-    Ok(())
-}
-
-/// Strict validation of a would-be `TPCP_DIMTREE` value, mirroring
-/// [`validate_kernel_override`]: the lenient reader
-/// ([`tpcp_cp::dimtree_auto`]) treats malformed values as "off", but a
-/// validating build should fail loudly instead of quietly running the
-/// per-mode path the operator asked to leave.
-fn validate_dimtree_override(value: Option<&str>) -> std::result::Result<(), ConfigError> {
-    if let Some(v) = value {
-        if !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes" | "0" | "off" | "false" | "no"
-        ) {
-            return Err(ConfigError::new(format!(
-                "{}: unrecognised value {v:?} (expected 1/on/true/yes or 0/off/false/no)",
-                tpcp_cp::DIMTREE_ENV_VAR
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// Strict validation of a would-be `TPCP_COMPRESS` value, mirroring
-/// [`validate_dimtree_override`]: the lenient reader
-/// ([`tpcp_cp::compress_auto`]) treats malformed values as "off", but a
-/// validating build should fail loudly instead of quietly running the
-/// uncompressed pipeline the operator asked to skip.
-fn validate_compress_override(value: Option<&str>) -> std::result::Result<(), ConfigError> {
-    if let Some(v) = value {
-        if !matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes" | "0" | "off" | "false" | "no"
-        ) {
-            return Err(ConfigError::new(format!(
-                "{}: unrecognised value {v:?} (expected 1/on/true/yes or 0/off/false/no)",
-                tpcp_cp::COMPRESS_ENV_VAR
-            )));
-        }
-    }
-    Ok(())
+/// `true` unless `fraction` is a positive number; NaN is incomparable and
+/// therefore invalid.
+pub(crate) fn buffer_fraction_is_invalid(fraction: f64) -> bool {
+    fraction.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+
+    /// Parses a fake environment holding exactly `vars`.
+    fn parse(vars: &[(&str, &str)]) -> std::result::Result<EnvOverrides, ConfigError> {
+        let env: HashMap<String, String> = vars
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect();
+        EnvOverrides::parse(|name| env.get(name).cloned())
+    }
 
     #[test]
     fn builder_chains() {
@@ -757,111 +567,125 @@ mod tests {
         let cfg = cfg.mmap(false);
         assert!(!cfg.mmap);
         assert_eq!(cfg.par(ParConfig::serial()).par, ParConfig::serial());
-    }
-
-    #[test]
-    fn kernel_setters_chain() {
-        let cfg = TwoPcpConfig::new(4).kernel(KernelKind::Reference);
+        let cfg = TwoPcpConfig::new(4)
+            .kernel(KernelKind::Reference)
+            .dimtree(true);
         assert_eq!(cfg.kernel, KernelKind::Reference);
-        let cfg = TwoPcpConfig::builder()
-            .rank(4)
-            .kernel(KernelKind::Tiled)
-            .build()
-            .unwrap();
-        assert_eq!(cfg.kernel, KernelKind::Tiled);
-    }
-
-    #[test]
-    fn kernel_env_override_applies() {
-        let overrides = EnvOverrides {
-            kernel: Some(KernelKind::Reference),
-            ..Default::default()
-        };
-        let cfg = overrides.apply(TwoPcpConfig::new(4).kernel(KernelKind::Auto));
-        assert_eq!(cfg.kernel, KernelKind::Reference);
-        // Unset override leaves an explicit choice alone.
-        let cfg = EnvOverrides::default().apply(TwoPcpConfig::new(4).kernel(KernelKind::Tiled));
-        assert_eq!(cfg.kernel, KernelKind::Tiled);
-    }
-
-    #[test]
-    fn garbage_kernel_override_is_a_config_error_not_a_panic() {
-        let err = validate_kernel_override(Some("garbage")).unwrap_err();
-        assert!(
-            err.reason.contains("TPCP_KERNEL") && err.reason.contains("garbage"),
-            "error names the variable and the bad value: {}",
-            err.reason
-        );
-        assert!(
-            err.reason.contains("reference") && err.reason.contains("tiled"),
-            "error lists the valid values: {}",
-            err.reason
-        );
-        // Valid and absent values pass.
-        assert!(validate_kernel_override(Some("tiled")).is_ok());
-        assert!(validate_kernel_override(Some("reference")).is_ok());
-        assert!(validate_kernel_override(Some("auto")).is_ok());
-        assert!(validate_kernel_override(None).is_ok());
-    }
-
-    #[test]
-    fn dimtree_setters_chain() {
-        let cfg = TwoPcpConfig::new(4).dimtree(true);
         assert!(cfg.dimtree);
-        let cfg = TwoPcpConfig::builder()
-            .rank(4)
-            .dimtree(true)
-            .build()
-            .unwrap();
-        assert!(cfg.dimtree);
+        assert!(cfg.compress(CompressOptions::default()).compress.is_some());
     }
 
     #[test]
-    fn dimtree_env_override_applies() {
-        let overrides = EnvOverrides {
-            dimtree: Some(true),
-            ..Default::default()
-        };
-        let cfg = overrides.apply(TwoPcpConfig::new(4));
-        assert!(cfg.dimtree);
-        // Unset override leaves an explicit choice alone.
-        let cfg = EnvOverrides::default().apply(TwoPcpConfig::new(4).dimtree(true));
-        assert!(cfg.dimtree);
+    fn unset_environment_overrides_nothing() {
+        assert_eq!(parse(&[]).unwrap(), EnvOverrides::default());
     }
 
     #[test]
-    fn garbage_dimtree_override_is_a_config_error_not_a_panic() {
-        let err = validate_dimtree_override(Some("garbage")).unwrap_err();
-        assert!(
-            err.reason.contains("TPCP_DIMTREE") && err.reason.contains("garbage"),
-            "error names the variable and the bad value: {}",
-            err.reason
-        );
-        // Both polarities (and whitespace/case slop) pass; absent passes.
-        for v in ["1", "on", "TRUE", " yes ", "0", "off", "False", "no"] {
-            assert!(validate_dimtree_override(Some(v)).is_ok(), "{v:?}");
+    fn env_grammar_accepts_every_documented_form() {
+        let o = parse(&[
+            ("TPCP_THREADS", " 3 "),
+            ("TPCP_PREFETCH", "8"),
+            ("TPCP_SHARDS", "2"),
+            ("TPCP_MMAP", "ON"),
+            ("TPCP_KERNEL", "Reference"),
+            ("TPCP_DIMTREE", " yes"),
+            ("TPCP_COMPRESS", "False"),
+            ("TPCP_SERVE_ADDR", "127.0.0.1:9"),
+        ])
+        .unwrap();
+        assert_eq!(o.par, Some(ParConfig::with_threads(3)));
+        assert_eq!(o.prefetch, Some(PrefetchConfig::with_depth(8)));
+        assert_eq!(o.shards, Some(2));
+        assert_eq!(o.mmap, Some(true));
+        assert_eq!(o.kernel, Some(KernelKind::Reference));
+        assert_eq!(o.dimtree, Some(true));
+        assert_eq!(o.compress, Some(false));
+        assert_eq!(o.serve_addr.as_deref(), Some("127.0.0.1:9"));
+        for v in ["0", "off", "FALSE"] {
+            let o = parse(&[("TPCP_PREFETCH", v)]).unwrap();
+            assert_eq!(o.prefetch, Some(PrefetchConfig::disabled()), "{v:?}");
         }
-        assert!(validate_dimtree_override(None).is_ok());
+        for (v, want) in [
+            ("1", true),
+            ("on", true),
+            ("TRUE", true),
+            (" yes ", true),
+            ("0", false),
+            ("off", false),
+            ("False", false),
+            ("no", false),
+        ] {
+            for name in ["TPCP_MMAP", "TPCP_DIMTREE", "TPCP_COMPRESS"] {
+                let o = parse(&[(name, v)]).unwrap();
+                let got = [o.mmap, o.dimtree, o.compress];
+                assert_eq!(
+                    got.iter().flatten().collect::<Vec<_>>(),
+                    [&want],
+                    "{name}={v:?}"
+                );
+            }
+        }
+        for v in ["tiled", "auto"] {
+            assert_eq!(parse(&[("TPCP_KERNEL", v)]).unwrap().kernel, v.parse().ok());
+        }
     }
 
     #[test]
-    fn compress_setters_chain() {
-        let cfg = TwoPcpConfig::new(4).compress(CompressOptions::default());
-        assert!(cfg.compress.is_some());
-        assert!(cfg.compress_off().compress.is_none());
-        let cfg = TwoPcpConfig::builder()
-            .rank(4)
-            .compress(CompressOptions::builder().energy(0.99).build().unwrap())
-            .build()
-            .unwrap();
-        assert!((cfg.compress.unwrap().energy - 0.99).abs() < 1e-12);
-        // Invalid options are rejected at build(), not deep inside a run.
-        let bad = CompressOptions {
-            energy: 0.0,
-            ..Default::default()
-        };
-        let err = TwoPcpConfig::builder().rank(4).compress(bad).build();
-        assert!(err.unwrap_err().reason.contains("compress"));
+    fn malformed_env_values_are_config_errors_naming_variable_and_value() {
+        let cases = [
+            ("TPCP_THREADS", "0"),
+            ("TPCP_THREADS", "-2"),
+            ("TPCP_THREADS", "four"),
+            ("TPCP_PREFETCH", "deep"),
+            ("TPCP_PREFETCH", "no"),
+            ("TPCP_SHARDS", "0"),
+            ("TPCP_SHARDS", "3.5"),
+            ("TPCP_MMAP", "maybe"),
+            ("TPCP_MMAP", ""),
+            ("TPCP_KERNEL", "garbage"),
+            ("TPCP_DIMTREE", "2"),
+            ("TPCP_COMPRESS", "enable"),
+        ];
+        for (name, value) in cases {
+            let err = parse(&[(name, value)]).unwrap_err();
+            assert!(
+                err.reason.contains(name) && err.reason.contains(&format!("{value:?}")),
+                "error names {name} and {value:?}: {}",
+                err.reason
+            );
+            assert!(matches!(TwoPcpError::from(err), TwoPcpError::Config { .. }));
+        }
+    }
+
+    #[test]
+    fn overrides_apply_only_what_is_set() {
+        let o = parse(&[
+            ("TPCP_THREADS", "2"),
+            ("TPCP_PREFETCH", "off"),
+            ("TPCP_SHARDS", "3"),
+            ("TPCP_MMAP", "1"),
+            ("TPCP_KERNEL", "reference"),
+            ("TPCP_DIMTREE", "1"),
+        ])
+        .unwrap();
+        let cfg = o.apply(TwoPcpConfig::new(4));
+        assert_eq!(cfg.par.threads(), 2);
+        assert!(!cfg.prefetch.is_active());
+        assert_eq!(cfg.shards, 3);
+        assert!(cfg.mmap);
+        assert_eq!(cfg.kernel, KernelKind::Reference);
+        assert!(cfg.dimtree);
+        assert!(cfg.compress.is_none());
+        // Unset overrides leave explicit choices alone.
+        let cfg = EnvOverrides::default().apply(
+            TwoPcpConfig::new(4)
+                .kernel(KernelKind::Tiled)
+                .dimtree(true)
+                .shards(2),
+        );
+        assert_eq!(cfg.kernel, KernelKind::Tiled);
+        assert!(cfg.dimtree);
+        assert_eq!(cfg.shards, 2);
     }
 
     #[test]
@@ -889,20 +713,6 @@ mod tests {
     }
 
     #[test]
-    fn garbage_compress_override_is_a_config_error_not_a_panic() {
-        let err = validate_compress_override(Some("garbage")).unwrap_err();
-        assert!(
-            err.reason.contains("TPCP_COMPRESS") && err.reason.contains("garbage"),
-            "error names the variable and the bad value: {}",
-            err.reason
-        );
-        for v in ["1", "on", "TRUE", " yes ", "0", "off", "False", "no"] {
-            assert!(validate_compress_override(Some(v)).is_ok(), "{v:?}");
-        }
-        assert!(validate_compress_override(None).is_ok());
-    }
-
-    #[test]
     fn parts_broadcast() {
         let cfg = TwoPcpConfig::new(2).parts(vec![3]);
         assert_eq!(cfg.resolved_parts(4).unwrap(), vec![3, 3, 3, 3]);
@@ -912,19 +722,31 @@ mod tests {
 
     #[test]
     fn validation_errors() {
-        assert!(TwoPcpConfig::new(0).resolved_parts(3).is_err());
+        let invalid = |cfg: TwoPcpConfig, what: &str| match cfg.resolved_parts(3) {
+            Err(TwoPcpError::Config { reason }) => {
+                assert!(reason.contains(what), "{what}: {reason}")
+            }
+            other => panic!("{what}: expected a config error, got {other:?}"),
+        };
+        invalid(TwoPcpConfig::new(0), "rank");
+        invalid(TwoPcpConfig::new(2).parts(vec![2, 2]), "partition counts");
+        invalid(
+            TwoPcpConfig::new(2).parts(vec![]),
+            "parts must not be empty",
+        );
+        invalid(TwoPcpConfig::new(2).parts(vec![0]), "partition counts");
+        invalid(TwoPcpConfig::new(2).shards(0), "shard count");
+        for bad in [0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            invalid(TwoPcpConfig::new(2).buffer_fraction(bad), "buffer_fraction");
+        }
+        let bad = CompressOptions {
+            energy: 0.0,
+            ..Default::default()
+        };
+        invalid(TwoPcpConfig::new(2).compress(bad), "compress");
         assert!(TwoPcpConfig::new(2)
-            .parts(vec![2, 2])
+            .compress(CompressOptions::builder().energy(0.99).build().unwrap())
             .resolved_parts(3)
-            .is_err());
-        assert!(TwoPcpConfig::new(2)
-            .buffer_fraction(0.0)
-            .resolved_parts(3)
-            .is_err());
-        assert!(TwoPcpConfig::new(2)
-            .parts(vec![0])
-            .resolved_parts(3)
-            .is_err());
-        assert!(TwoPcpConfig::new(2).shards(0).resolved_parts(3).is_err());
+            .is_ok());
     }
 }

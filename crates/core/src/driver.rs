@@ -299,11 +299,8 @@ mod tests {
     #[test]
     fn end_to_end_dense_in_memory() {
         let x = low_rank(&[10, 10, 10], 2, 4);
-        // Pins the two-phase pipeline (MR counters stay zero without
-        // mapreduce); opt out of a TPCP_COMPRESS=1 environment.
         let outcome = TwoPcp::new(
             TwoPcpConfig::new(2)
-                .compress_off()
                 .parts(vec![2])
                 .max_virtual_iters(40)
                 .tol(1e-7),
@@ -318,10 +315,7 @@ mod tests {
     #[test]
     fn end_to_end_on_disk_matches_in_memory() {
         let x = low_rank(&[8, 8, 8], 2, 6);
-        // Pins phase-2 swap counts and store I/O; opt out of a
-        // TPCP_COMPRESS=1 environment.
         let cfg = TwoPcpConfig::new(2)
-            .compress_off()
             .parts(vec![2])
             .schedule(ScheduleKind::ZOrder)
             .policy(PolicyKind::Forward)
@@ -366,11 +360,8 @@ mod tests {
         let x = low_rank(&[8, 8, 8], 2, 10);
         let dir = std::env::temp_dir().join(format!("tpcp_driver_mr_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Pins the mapreduce phase-1 counters; opt out of a
-        // TPCP_COMPRESS=1 environment.
         let outcome = TwoPcp::new(
             TwoPcpConfig::new(2)
-                .compress_off()
                 .parts(vec![2])
                 .max_virtual_iters(30)
                 .tol(1e-6)
@@ -383,5 +374,21 @@ mod tests {
         assert_eq!(outcome.mr_counters.map_input_records, 512);
         assert_eq!(outcome.mr_counters.reduce_groups, 8);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn nan_buffer_fraction_is_a_config_error_before_phase1() {
+        let x = low_rank(&[6, 6, 6], 2, 12);
+        let r = TwoPcp::new(
+            TwoPcpConfig::new(2)
+                .parts(vec![2])
+                .buffer_fraction(f64::NAN),
+        )
+        .decompose_dense(&x);
+        assert!(
+            matches!(r, Err(crate::TwoPcpError::Config { .. })),
+            "{:?}",
+            r.map(|o| o.fit)
+        );
     }
 }

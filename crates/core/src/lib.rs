@@ -54,10 +54,7 @@ mod model;
 mod pq;
 mod update;
 
-pub use config::{
-    ConfigError, EnvOverrides, InitKind, Phase1Options, TwoPcpConfig, TwoPcpConfigBuilder,
-    SERVE_ADDR_ENV_VAR,
-};
+pub use config::{ConfigError, EnvOverrides, InitKind, Phase1Options, TwoPcpConfig};
 pub use driver::{TwoPcp, TwoPcpOutcome};
 pub use model::{
     rank_fiber, FactorView, Model, ModelMeta, Residency, MODEL_EXT, MODEL_MAGIC, MODEL_VERSION,
@@ -74,8 +71,8 @@ pub use swapsim::{simulate_swaps, unit_bytes, SwapReport, SwapSimConfig};
 // pipeline can be configured without importing `tpcp-storage` /
 // `tpcp-linalg` / `tpcp-cp` / `tpcp-compress` directly.
 pub use tpcp_compress::CompressProvenance;
-pub use tpcp_cp::{CompressOptions, COMPRESS_ENV_VAR};
-pub use tpcp_linalg::{KernelKind, KERNEL_ENV_VAR};
+pub use tpcp_cp::CompressOptions;
+pub use tpcp_linalg::KernelKind;
 pub use tpcp_storage::PrefetchConfig;
 
 /// Errors surfaced by the 2PCP pipeline.

@@ -44,8 +44,8 @@
 //!
 //! Factor matrices ride as ordinary codec-v2 pages — the same
 //! checksummed, bulk-copy format the unit stores swap — so the reader is
-//! `tpcp_storage::codec::decode` over an `Mmap` (buffered fallback when
-//! `TPCP_MMAP` is off), and a corrupted factor fails the same way a
+//! `tpcp_storage::codec::decode` over an `Mmap` (or over a buffered read
+//! when mmap is off), and a corrupted factor fails the same way a
 //! corrupted swap page does.
 //!
 //! # Residency: owned vs shared-mmap
@@ -88,7 +88,7 @@ use tpcp_compress::CompressProvenance;
 use tpcp_cp::CpModel;
 use tpcp_linalg::{gather_rows, matmul_t_slices_auto, Mat};
 use tpcp_schedule::UnitId;
-use tpcp_storage::{codec, mmap_auto, UnitData};
+use tpcp_storage::{codec, UnitData};
 
 /// Magic bytes opening a model container.
 pub const MODEL_MAGIC: &[u8; 8] = b"2PCPMODL";
@@ -435,15 +435,14 @@ impl Model {
         Ok(())
     }
 
-    /// Loads a container from `path`, honouring the `TPCP_MMAP` default:
-    /// with mmap on this is [`Model::load_shared`] (zero-copy residency),
-    /// otherwise a buffered owned decode.
+    /// Loads a container from `path` with a buffered owned decode
+    /// ([`Model::load_with`] chooses the transport).
     ///
     /// # Errors
     /// [`TwoPcpError::Storage`] on I/O failure, [`TwoPcpError::Model`]
     /// on a malformed or corrupted container.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        Self::load_with(path, mmap_auto())
+        Self::load_with(path, false)
     }
 
     /// Loads a container, choosing the transport explicitly: `mmap`

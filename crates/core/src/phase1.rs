@@ -9,8 +9,7 @@
 //!
 //! * [`run_phase1_source`] — the streaming core: pull blocks, decompose
 //!   each with in-process parallel workers, emit the per-mode
-//!   *data-access units* shard-by-shard through a [`tpcp_mapreduce`]
-//!   aggregation job;
+//!   *data-access units* shard-by-shard;
 //! * [`run_phase1_dense`] / [`run_phase1_sparse`] — thin adapters wrapping
 //!   an in-memory tensor in a memory source (bit-identical results);
 //! * [`run_phase1_mapreduce`] / [`run_phase1_mapreduce_source`] — the
@@ -18,8 +17,8 @@
 //!   and decomposing each block in a reducer, running on the
 //!   [`tpcp_mapreduce`] substrate.
 //!
-//! All paths end by assembling the per-mode data-access units
-//! (`A(i)(kᵢ)` + slab sub-factors) through the aggregation job and writing
+//! All paths end by grouping the per-block factors in memory into the
+//! per-mode data-access units (`A(i)(kᵢ)` + slab sub-factors) and writing
 //! them — grouped by destination shard — to the unit store that Phase 2
 //! will refine against.
 
@@ -28,7 +27,6 @@ use crate::{Result, TwoPcpError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use tpcp_cp::{cp_als_dense, cp_als_sparse, AlsOptions, CpModel};
 use tpcp_linalg::Mat;
 use tpcp_mapreduce::{run_job, JobCounters, MapReduceJob, MrConfig};
@@ -144,65 +142,46 @@ fn decompose_block(block: &Block, cfg: &TwoPcpConfig, seed: u64) -> Result<(CpMo
 }
 
 // ---------------------------------------------------------------------------
-// Unit assembly: a MapReduce aggregation job over per-block factors
+// Unit assembly: an in-memory group-by over per-block factors
 // ---------------------------------------------------------------------------
 
-/// The unit key `⟨i, kᵢ⟩` crossing the assembly shuffle.
-type UnitKey = (u16, u32);
-/// One block's mode-`i` sub-factor crossing the shuffle:
-/// `(block id, rows, cols, row-major data)`.
-type FactorMsg = (u64, u32, u32, Vec<f64>);
-
-/// The unit-aggregation job: `map` keys each per-block factor by the
-/// data-access unit it belongs to, `reduce` rebuilds the unit (slab
+/// Groups the per-block factors `(linear block id, mode, factor)` by the
+/// data-access unit `⟨i, kᵢ⟩` they belong to, builds each unit (slab
 /// sub-factors in ascending block order plus the initial global
-/// sub-factor `A(i)(kᵢ)`).
-struct UnitAssemblyJob<'a> {
-    grid: &'a Grid,
-    cfg: &'a TwoPcpConfig,
-}
-
-impl MapReduceJob for UnitAssemblyJob<'_> {
-    /// `(linear block id, mode, factor)`.
-    type Input = (u64, u16, Mat);
-    type Key = UnitKey;
-    type Value = FactorMsg;
-    type Output = UnitData;
-
-    fn map(&self, (block, mode, factor): Self::Input, emit: &mut dyn FnMut(UnitKey, FactorMsg)) {
-        let part = self.grid.block_coords(block as usize)[mode as usize] as u32;
-        let (rows, cols) = factor.shape();
-        emit(
-            (mode, part),
-            (block, rows as u32, cols as u32, factor.into_vec()),
-        );
+/// sub-factor `A(i)(kᵢ)`), and writes the units to the store
+/// *shard-by-shard* (grouped by [`UnitStore::shard_hint`], then unit
+/// order), returning the total unit bytes.
+fn assemble_units<S: UnitStore>(
+    grid: &Grid,
+    cfg: &TwoPcpConfig,
+    inputs: Vec<(u64, u16, Mat)>,
+    store: &mut S,
+) -> Result<usize> {
+    let mut slabs: Vec<Vec<(u64, Mat)>> = (0..grid.num_units()).map(|_| Vec::new()).collect();
+    for (block, mode, factor) in inputs {
+        let mode = usize::from(mode);
+        let part = grid.block_coords(block as usize)[mode];
+        slabs[UnitId::new(mode, part).linear(grid)].push((block, factor));
     }
-
-    fn reduce(
-        &self,
-        (mode, part): UnitKey,
-        mut values: Vec<FactorMsg>,
-        emit: &mut dyn FnMut(UnitData),
-    ) {
-        // Slab order is ascending linear block id, so sorting restores the
-        // deterministic order regardless of shuffle arrival.
-        values.sort_unstable_by_key(|&(block, _, _, _)| block);
-        let sub_factors: Vec<(u64, Mat)> = values
-            .into_iter()
-            .map(|(block, rows, cols, data)| {
-                (block, Mat::from_vec(rows as usize, cols as usize, data))
-            })
-            .collect();
-        let (mode, part) = (mode as usize, part as usize);
-        let rows = self.grid.part_len(mode, part);
-        let factor = match self.cfg.init {
+    let mut order: Vec<UnitId> = (0..grid.num_units())
+        .map(|lin| UnitId::from_linear(grid, lin))
+        .collect();
+    order.sort_by_key(|&u| (store.shard_hint(u), u.linear(grid)));
+    let mut total_bytes = 0usize;
+    for unit in order {
+        let mut sub_factors = std::mem::take(&mut slabs[unit.linear(grid)]);
+        // Ascending block order fixes the slab layout and the SlabMean sum
+        // order, whatever order the blocks finished in.
+        sub_factors.sort_unstable_by_key(|&(block, _)| block);
+        let (mode, part) = (usize::from(unit.mode), unit.part as usize);
+        let rows = grid.part_len(mode, part);
+        let factor = match cfg.init {
             InitKind::Random => {
-                let mut rng =
-                    StdRng::seed_from_u64(self.cfg.seed ^ ((mode as u64) << 32) ^ part as u64);
-                random_factor(rows, self.cfg.rank, &mut rng)
+                let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((mode as u64) << 32) ^ part as u64);
+                random_factor(rows, cfg.rank, &mut rng)
             }
             InitKind::SlabMean => {
-                let mut acc = Mat::zeros(rows, self.cfg.rank);
+                let mut acc = Mat::zeros(rows, cfg.rank);
                 for (_, u) in &sub_factors {
                     // Slab factors share the unit shape by construction.
                     acc.add_assign(u).expect("slab factor shape");
@@ -211,54 +190,13 @@ impl MapReduceJob for UnitAssemblyJob<'_> {
                 acc
             }
         };
-        emit(UnitData {
-            unit: UnitId::new(mode, part),
+        let data = UnitData {
+            unit,
             factor,
             sub_factors,
-        });
-    }
-}
-
-/// Distinguishes concurrent assembly scratch directories within a process.
-static ASSEMBLY_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// Runs the unit-aggregation job over the per-block factors and writes the
-/// resulting data-access units to the store *shard-by-shard* (grouped by
-/// [`UnitStore::shard_hint`], then unit order), returning the total unit
-/// bytes.
-fn assemble_units<S: UnitStore>(
-    grid: &Grid,
-    cfg: &TwoPcpConfig,
-    inputs: Vec<(u64, u16, Mat)>,
-    store: &mut S,
-) -> Result<usize> {
-    let dir = cfg
-        .work_dir
-        .clone()
-        .unwrap_or_else(std::env::temp_dir)
-        .join(format!(
-            "p1_assemble_{}_{}",
-            std::process::id(),
-            ASSEMBLY_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-    let job = UnitAssemblyJob { grid, cfg };
-    let mut mr_cfg = MrConfig::new(&dir);
-    mr_cfg.num_mappers = cfg.par.threads();
-    mr_cfg.par = cfg.par;
-    // Internal counters: the public counter contract describes the
-    // nnz-level Phase-1 job, not this assembly pass.
-    let counters = JobCounters::new();
-    let outcome = run_job(&job, inputs, &mr_cfg, &counters);
-    // Clean the scratch directory on failure too, so failing runs do not
-    // accumulate spilled factor data under the work dir.
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut units = outcome?;
-    debug_assert_eq!(units.len(), grid.num_units());
-    units.sort_by_key(|u| (store.shard_hint(u.unit), u.unit.linear(grid)));
-    let mut total_bytes = 0usize;
-    for unit in &units {
-        total_bytes += unit.payload_bytes();
-        store.write(unit)?;
+        };
+        total_bytes += data.payload_bytes();
+        store.write(&data)?;
     }
     Ok(total_bytes)
 }
@@ -779,5 +717,26 @@ mod tests {
         let err =
             run_phase1_dense(&x, &TwoPcpConfig::new(1).parts(vec![4]), &mut store).unwrap_err();
         assert!(matches!(err, TwoPcpError::Config { .. }));
+    }
+
+    #[test]
+    fn assembly_needs_no_scratch_directory() {
+        // A regular file as `work_dir`: nothing can be created beneath it,
+        // so an assembly that spilled to disk would fail here.
+        let file = std::env::temp_dir().join(format!("tpcp_p1_file_{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let x = low_rank(&[8, 8, 8], 2, 4);
+        let mut in_file_dir = MemStore::new();
+        let result = run_phase1_dense(&x, &cfg(2, vec![2]).work_dir(&file), &mut in_file_dir);
+        let _ = std::fs::remove_file(&file);
+        let result = result.unwrap();
+        assert_eq!(in_file_dir.len(), result.grid.num_units());
+        // Same units as a run with no work dir at all.
+        let mut plain = MemStore::new();
+        run_phase1_dense(&x, &cfg(2, vec![2]), &mut plain).unwrap();
+        for lin in 0..result.grid.num_units() {
+            let unit = UnitId::from_linear(&result.grid, lin);
+            assert_eq!(in_file_dir.read(unit).unwrap(), plain.read(unit).unwrap());
+        }
     }
 }

@@ -78,7 +78,7 @@ pub fn simulate_swaps(cfg: &SwapSimConfig) -> Result<SwapReport> {
             reason: "parts must be non-empty and positive".into(),
         });
     }
-    if cfg.buffer_fraction <= 0.0 {
+    if crate::config::buffer_fraction_is_invalid(cfg.buffer_fraction) {
         return Err(TwoPcpError::Config {
             reason: "buffer_fraction must be positive".into(),
         });
@@ -304,6 +304,18 @@ mod tests {
             virtual_iters: 1,
         })
         .is_err());
+    }
+
+    #[test]
+    fn nan_buffer_fraction_is_a_config_error() {
+        let r = simulate_swaps(&SwapSimConfig {
+            parts: vec![2, 2, 2],
+            schedule: ScheduleKind::ZOrder,
+            policy: PolicyKind::Lru,
+            buffer_fraction: f64::NAN,
+            virtual_iters: 1,
+        });
+        assert!(matches!(r, Err(TwoPcpError::Config { .. })), "{r:?}");
     }
 
     #[test]

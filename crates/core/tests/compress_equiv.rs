@@ -11,8 +11,7 @@
 //!   bitwise run-to-run repeatable and invariant across thread budgets
 //!   {1, 2, 4, 7} and both kernel backends;
 //! * with no [`CompressOptions`] configured, the driver's default path is
-//!   bitwise identical to a build that has never heard of compression
-//!   (the `TPCP_COMPRESS=0` CI leg pins the same thing end to end).
+//!   bitwise identical to a build that has never heard of compression.
 
 use rand::SeedableRng;
 use tpcp_compress::{compress_cp_als_dense, compress_decompose};
@@ -202,24 +201,10 @@ fn compress_off_leaves_the_default_path_bitwise_unchanged() {
             .seed(3)
     };
     // Configuring compression and then switching it off must restore the
-    // explicitly-off path exactly — same bits everywhere, under any
-    // environment.
-    let off = default_path_bits(base().compress_off(), &x);
-    let toggled = default_path_bits(
-        base().compress(CompressOptions::default()).compress_off(),
-        &x,
-    );
-    assert_eq!(off, toggled, "compress_off() is not a perfect no-op");
-    // The truly-unconfigured driver equals the explicit off only when the
-    // environment has not opted compression in (under TPCP_COMPRESS=1 the
-    // env default is compressed by design); the default-env and =0 CI
-    // legs exercise this arm.
-    let env_opt_in = matches!(
-        std::env::var("TPCP_COMPRESS").ok().as_deref(),
-        Some("1") | Some("on") | Some("true") | Some("yes")
-    );
-    if !env_opt_in {
-        let plain = default_path_bits(base(), &x);
-        assert_eq!(plain, off, "unconfigured default differs from explicit off");
-    }
+    // unconfigured default path exactly — same bits everywhere.
+    let mut toggled = base().compress(CompressOptions::default());
+    toggled.compress = None;
+    let off = default_path_bits(toggled, &x);
+    let plain = default_path_bits(base(), &x);
+    assert_eq!(plain, off, "unconfigured default differs from explicit off");
 }

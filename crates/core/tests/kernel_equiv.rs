@@ -5,8 +5,7 @@
 //! with `KernelKind::Tiled` must be **bitwise** identical to the same run
 //! with `KernelKind::Reference` — fit trace, final factor matrices, and
 //! the paper's headline swap counts — across schedules, eviction
-//! policies and thread budgets. This is the CI-enforced contract behind
-//! the `TPCP_KERNEL` env legs.
+//! policies and thread budgets.
 
 use proptest::prelude::*;
 use rand::SeedableRng;
@@ -99,8 +98,6 @@ proptest! {
             ScheduleKind::FiberOrder,
             ScheduleKind::HilbertOrder,
         ][schedule_idx];
-        // Mirrors CI's TPCP_THREADS ∈ {1, 4} matrix, pinned explicitly so
-        // the property holds regardless of the ambient environment.
         let threads = [1usize, 4][threads_idx];
 
         let x = low_rank(&[8, 8, 8], 2, seed);

@@ -109,8 +109,6 @@ proptest! {
             ScheduleKind::FiberOrder,
             ScheduleKind::HilbertOrder,
         ][schedule_idx];
-        // Mirrors CI's TPCP_THREADS ∈ {1, 4} matrix, pinned explicitly so
-        // the property holds regardless of the ambient environment.
         let threads = [1usize, 4][threads_idx];
 
         let x = low_rank(&[8, 8, 8], 2, seed);

@@ -1,7 +1,7 @@
 //! The alternating-least-squares driver.
 
 use crate::compress::{validate_compress_options, CompressOptions};
-use crate::dimtree::{dimtree_auto, DimTree};
+use crate::dimtree::DimTree;
 use crate::model::fit_from_parts;
 use crate::{mttkrp_dense_kernel, mttkrp_sparse_par, CpError, CpModel, Result};
 use rand::rngs::StdRng;
@@ -32,22 +32,20 @@ pub struct AlsOptions {
     pub par: ParConfig,
     /// Kernel backend for the MTTKRP and Gram inner loops. All backends
     /// are bit-identical (see `tpcp_linalg::kernel`), so this knob trades
-    /// speed only; the default honours `TPCP_KERNEL`.
+    /// speed only; the default, [`KernelKind::Auto`], runs the tiled one.
     pub kernel: KernelKind,
     /// Answer dense MTTKRPs from a dimension tree ([`DimTree`]), reusing
     /// partial contractions across the modes of each sweep (~2× fewer
     /// flops for order ≥ 4). Unlike `kernel` this changes the contraction
     /// *order*, so results are tolerance- (not bitwise-) equivalent to the
     /// per-mode path — see `docs/dimtree.md`. Ignored for sparse tensors
-    /// and order < 3. The default honours `TPCP_DIMTREE`.
+    /// and order < 3. Off by default.
     pub dimtree: bool,
     /// Compress-then-decompose knobs carried to the `tpcp-compress` entry
     /// points and the `twopcp` driver. Plain [`cp_als_dense`] /
     /// [`cp_als_sparse`] ignore this field — it is plumbing, not a mode
     /// switch of the per-mode ALS loop itself (see `docs/compress.md`).
-    /// The default is `None` (exact path); `TPCP_COMPRESS` is honoured by
-    /// the driver-level config, not here, so library-level ALS behaviour
-    /// never changes under the environment toggle.
+    /// The default is `None` (exact path).
     pub compress: Option<CompressOptions>,
 }
 
@@ -62,7 +60,7 @@ impl Default for AlsOptions {
             init: None,
             par: ParConfig::auto(),
             kernel: KernelKind::Auto,
-            dimtree: dimtree_auto(),
+            dimtree: false,
             compress: None,
         }
     }
@@ -549,10 +547,6 @@ mod tests {
             max_iters: 40,
             tol: 1e-12,
             seed: 1,
-            // The sparse path has no dimension tree; keep the dense run on
-            // the per-mode path too (else TPCP_DIMTREE=1 makes the
-            // trajectories tolerance- rather than bitwise-equal).
-            dimtree: false,
             ..Default::default()
         };
         let dense_report = cp_als_dense(&t, &opts).unwrap();

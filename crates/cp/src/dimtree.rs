@@ -38,23 +38,6 @@ use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 use tpcp_schedule::{AccessSequence, UnitId};
 use tpcp_tensor::DenseTensor;
 
-/// Name of the environment variable that opts the ALS sweep into the
-/// dimension-tree MTTKRP path (`1`/`on`/`true`/`yes`, like `TPCP_MMAP`).
-pub const DIMTREE_ENV_VAR: &str = "TPCP_DIMTREE";
-
-/// Whether `TPCP_DIMTREE` asks for the dimension-tree path. Unset and
-/// malformed values mean "off" (the validating config builders reject
-/// malformed values loudly instead).
-pub fn dimtree_auto() -> bool {
-    match std::env::var(DIMTREE_ENV_VAR) {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        ),
-        Err(_) => false,
-    }
-}
-
 /// "No node" sentinel for parent/child links.
 const NO_NODE: usize = usize::MAX;
 

@@ -66,8 +66,8 @@ pub(crate) fn check_factors(dims: &[usize], factors: &[&Mat], mode: usize) -> Re
 }
 
 /// Dense MTTKRP for mode `mode`: returns the `I_mode × F` matrix
-/// `X_(mode) · KR([factors]_{h≠mode})`, computed on the shared automatic
-/// thread budget (`TPCP_THREADS`); see [`mttkrp_dense_par`].
+/// `X_(mode) · KR([factors]_{h≠mode})`, computed on the hardware thread
+/// budget ([`ParConfig::auto`]); see [`mttkrp_dense_par`].
 ///
 /// `factors[mode]` is ignored (only its column count participates in
 /// validation), matching ALS usage where that factor is the one being
@@ -261,8 +261,8 @@ fn mttkrp_dense3(
     out
 }
 
-/// Sparse (COO) MTTKRP for mode `mode`, computed on the shared automatic
-/// thread budget (`TPCP_THREADS`); see [`mttkrp_sparse_par`].
+/// Sparse (COO) MTTKRP for mode `mode`, computed on the hardware thread
+/// budget ([`ParConfig::auto`]); see [`mttkrp_sparse_par`].
 ///
 /// # Errors
 /// [`CpError::BadFactors`] on shape inconsistencies.

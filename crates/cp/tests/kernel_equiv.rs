@@ -142,9 +142,8 @@ fn tiled_mttkrp_matches_reference_with_zeros_order4() {
     check_modes_zero_heavy(&[7, 6, 5, 4], 12, 43);
 }
 
-/// `Auto` must resolve to a real backend and agree with the explicit kinds
-/// it dispatches to (tiled by default when the env var is unset or bogus —
-/// either way the bitwise contract makes them indistinguishable).
+/// `Auto` (which runs the tiled backend) must agree bitwise with the
+/// reference backend.
 #[test]
 fn auto_kind_matches_explicit_backends() {
     let dims = [8usize, 7, 6];

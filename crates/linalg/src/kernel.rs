@@ -33,31 +33,25 @@
 //!
 //! # Runtime dispatch
 //!
-//! [`KernelKind`] selects the backend: explicitly through the config
-//! builders (`TwoPcpConfig::kernel`, `AlsOptions::kernel`), or via the
-//! `TPCP_KERNEL` environment variable (`reference` / `tiled` / `auto`) for
-//! the [`KernelKind::Auto`] default. `Auto` resolves to the tiled backend.
+//! [`KernelKind`] selects the backend through the config
+//! (`TwoPcpConfig::kernel`, `AlsOptions::kernel`). The
+//! [`KernelKind::Auto`] default resolves to the tiled backend. Binaries
+//! map the `TPCP_KERNEL` environment variable onto this knob at their edge
+//! (`twopcp::EnvOverrides`); the library never reads the environment.
 
 use std::str::FromStr;
 
-/// Name of the environment variable selecting the kernel backend
-/// (`reference`, `tiled` or `auto`; see [`KernelKind`]).
-pub const KERNEL_ENV_VAR: &str = "TPCP_KERNEL";
-
 /// Which kernel backend to run.
 ///
-/// The default, [`KernelKind::Auto`], honours the `TPCP_KERNEL`
-/// environment variable and otherwise picks [`TiledKernel`]; the two
-/// explicit variants pin a backend regardless of the environment. All
-/// choices are bit-identical (see the [module docs](self)), so this knob
-/// trades speed only.
+/// The default, [`KernelKind::Auto`], picks [`TiledKernel`]; the two
+/// explicit variants pin a backend. All choices are bit-identical (see the
+/// [module docs](self)), so this knob trades speed only.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum KernelKind {
     /// The original scalar loops ([`ReferenceKernel`]).
     Reference,
     /// Register-blocked microkernels ([`TiledKernel`]).
     Tiled,
-    /// The `TPCP_KERNEL` override when set to a valid value, otherwise
     /// [`KernelKind::Tiled`].
     #[default]
     Auto,
@@ -96,23 +90,11 @@ impl FromStr for KernelKind {
 }
 
 impl KernelKind {
-    /// The automatic choice: `TPCP_KERNEL` when set to a valid value,
-    /// otherwise [`KernelKind::Auto`] (malformed values fall back to the
-    /// default, matching the other `TPCP_*` variables; the validating
-    /// config builders reject them loudly instead).
-    pub fn auto() -> KernelKind {
-        env_kernel().unwrap_or(KernelKind::Auto)
-    }
-
     /// Collapses [`KernelKind::Auto`] to the backend it will actually run
-    /// (the environment override, or [`KernelKind::Tiled`]); explicit
-    /// variants return themselves.
+    /// ([`KernelKind::Tiled`]); explicit variants return themselves.
     pub fn resolved(self) -> KernelKind {
         match self {
-            KernelKind::Auto => match env_kernel() {
-                Some(KernelKind::Reference) => KernelKind::Reference,
-                _ => KernelKind::Tiled,
-            },
+            KernelKind::Auto => KernelKind::Tiled,
             other => other,
         }
     }
@@ -133,15 +115,6 @@ impl KernelKind {
             KernelKind::Tiled => "tiled",
             KernelKind::Auto => "auto",
         }
-    }
-}
-
-/// The environment override, ignoring unset/malformed values and the
-/// explicit `auto` (which is the default anyway).
-fn env_kernel() -> Option<KernelKind> {
-    match std::env::var(KERNEL_ENV_VAR).ok()?.parse() {
-        Ok(KernelKind::Auto) | Err(_) => None,
-        Ok(kind) => Some(kind),
     }
 }
 
@@ -725,8 +698,7 @@ mod tests {
         assert_eq!(KernelKind::Tiled.resolved(), KernelKind::Tiled);
         assert_eq!(KernelKind::Reference.resolve().label(), "reference");
         assert_eq!(KernelKind::Tiled.resolve().label(), "tiled");
-        // Auto resolves to a runnable backend either way.
-        assert_ne!(KernelKind::Auto.resolved(), KernelKind::Auto);
+        assert_eq!(KernelKind::Auto.resolved(), KernelKind::Tiled);
     }
 
     #[test]

@@ -20,8 +20,8 @@ use tpcp_par::{par_chunks_mut, tile_rows_per_chunk, ParConfig};
 impl Mat {
     /// `self · rhs` (shapes `m×k` times `k×n`).
     ///
-    /// Above a work threshold this runs on the shared [`tpcp_par`] budget
-    /// (`TPCP_THREADS`); see [`Mat::matmul_par`] for an explicit budget.
+    /// Above a work threshold this runs on the hardware [`tpcp_par`]
+    /// budget; see [`Mat::matmul_par`] for an explicit budget.
     pub fn matmul(&self, rhs: &Mat) -> Result<Mat> {
         self.matmul_par(rhs, &ParConfig::auto())
     }

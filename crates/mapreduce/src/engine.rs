@@ -42,7 +42,7 @@ pub struct MrConfig {
     /// by `par`.
     pub num_reducers: usize,
     /// Concurrency cap for mapper and reducer threads — the shared
-    /// [`tpcp_par`] budget, so a `TPCP_THREADS=1` run really is serial
+    /// [`tpcp_par`] budget, so a one-thread budget really is serial
     /// even though the job still has `num_reducers` buckets.
     pub par: ParConfig,
     /// Directory for shuffle spill files.
@@ -57,8 +57,7 @@ pub struct MrConfig {
 
 impl MrConfig {
     /// A config with sensible defaults rooted at `work_dir`: the mapper
-    /// count follows the shared [`tpcp_par`] budget (`TPCP_THREADS`
-    /// override, hardware fallback).
+    /// count follows the hardware [`tpcp_par`] budget.
     pub fn new(work_dir: impl Into<PathBuf>) -> Self {
         let par = ParConfig::auto();
         MrConfig {

@@ -4,8 +4,7 @@
 //! Every layer of the stack (MTTKRP kernels, dense matrix products, the
 //! Phase-1 block fan-out, the MapReduce engine) funnels its threading
 //! through this crate, so the whole system shares one thread-budget policy
-//! ([`ParConfig`], overridable via the `TPCP_THREADS` environment variable)
-//! and one set of determinism guarantees:
+//! ([`ParConfig`]) and one set of determinism guarantees:
 //!
 //! * [`par_map`] / [`par_map_owned`] — indexed, work-stealing maps that
 //!   propagate the lowest-indexed worker `Err` and surface worker *panics*
@@ -71,8 +70,8 @@ pub const PAR_GRAIN: usize = 1 << 18;
 /// The shared thread-budget policy.
 ///
 /// A `ParConfig` always carries a *resolved* budget of at least one thread.
-/// Construct one with [`ParConfig::auto`] (environment override, hardware
-/// fallback), [`ParConfig::serial`] or [`ParConfig::with_threads`], and pass
+/// Construct one with [`ParConfig::auto`] (the hardware budget),
+/// [`ParConfig::serial`] or [`ParConfig::with_threads`], and pass
 /// it down: `TwoPcpConfig`, `AlsOptions` and `MrConfig` all embed one so the
 /// driver, Phase 1, Phase 2 and the MapReduce substrate draw from a single
 /// budget.
@@ -81,20 +80,12 @@ pub struct ParConfig {
     threads: usize,
 }
 
-/// Name of the environment variable that overrides the automatic thread
-/// budget (a positive integer; anything else is ignored).
-pub const THREADS_ENV_VAR: &str = "TPCP_THREADS";
-
 impl ParConfig {
-    /// The automatic budget: `TPCP_THREADS` when set to a positive integer,
-    /// otherwise [`std::thread::available_parallelism`] (or 1 when even that
-    /// is unavailable).
+    /// The hardware budget: [`std::thread::available_parallelism`] (or 1
+    /// when even that is unavailable), read once per process.
     pub fn auto() -> Self {
-        match env_threads() {
-            Some(n) => ParConfig { threads: n },
-            None => ParConfig {
-                threads: hardware_threads(),
-            },
+        ParConfig {
+            threads: hardware_threads(),
         }
     }
 
@@ -102,16 +93,6 @@ impl ParConfig {
     /// thread (same chunking, same reduction order, no pool).
     pub fn serial() -> Self {
         ParConfig { threads: 1 }
-    }
-
-    /// The hardware budget: [`std::thread::available_parallelism`] alone,
-    /// ignoring `TPCP_THREADS`. Callers that centralise environment
-    /// handling (e.g. `twopcp::EnvOverrides`) start here and layer the
-    /// override themselves.
-    pub fn hardware() -> Self {
-        ParConfig {
-            threads: hardware_threads(),
-        }
     }
 
     /// An explicit budget of `n` threads; `0` means "decide automatically"
@@ -163,13 +144,6 @@ impl Default for ParConfig {
     fn default() -> Self {
         ParConfig::auto()
     }
-}
-
-fn env_threads() -> Option<usize> {
-    std::env::var(THREADS_ENV_VAR)
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
 }
 
 /// [`std::thread::available_parallelism`], read once (it walks cgroup

@@ -14,9 +14,13 @@
 //!     meta NAME | entry NAME I J …  | fiber NAME MODE I … | topk NAME MODE K I …
 //!     similar NAME MODE ROW K
 //! ```
+//!
+//! `TPCP_SERVE_ADDR` is the default `--addr`; the other `TPCP_*` knobs
+//! apply to `--prepare`'s decomposition (and `TPCP_MMAP` to `--verify`'s
+//! local load). A malformed value exits with status 2.
 
 use tpcp_serve::{request, BatchSub, Client, Opcode, Status};
-use twopcp::{Model, TwoPcp, TwoPcpConfig};
+use twopcp::{EnvOverrides, Model, TwoPcp, TwoPcpConfig};
 
 fn fail(msg: impl AsRef<str>) -> ! {
     eprintln!("tpcp-query: {}", msg.as_ref());
@@ -24,6 +28,10 @@ fn fail(msg: impl AsRef<str>) -> ! {
 }
 
 fn main() {
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
+        eprintln!("tpcp-query: {e}");
+        std::process::exit(2);
+    });
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr: Option<String> = None;
     let mut prepare: Option<String> = None;
@@ -44,17 +52,15 @@ fn main() {
     }
 
     if let Some(dir) = prepare {
-        return prepare_demo(&dir);
+        return prepare_demo(&dir, &env);
     }
-    let addr = addr.unwrap_or_else(|| {
-        twopcp::EnvOverrides::from_env()
-            .serve_addr
-            .unwrap_or_else(|| tpcp_serve::DEFAULT_ADDR.to_string())
-    });
+    let addr = addr
+        .or(env.serve_addr)
+        .unwrap_or_else(|| tpcp_serve::DEFAULT_ADDR.to_string());
     let mut client =
         Client::connect(&addr).unwrap_or_else(|e| fail(format!("connect {addr}: {e}")));
     if smoke {
-        return run_smoke(&mut client, verify.as_deref());
+        return run_smoke(&mut client, verify.as_deref(), env.mmap.unwrap_or(false));
     }
     if let Some(source) = batch {
         return run_batch(&mut client, &source);
@@ -63,7 +69,7 @@ fn main() {
 }
 
 /// Decomposes a small seeded low-rank tensor and saves it as `demo`.
-fn prepare_demo(dir: &str) {
+fn prepare_demo(dir: &str, env: &EnvOverrides) {
     use rand::SeedableRng;
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let truth = tpcp_cp::CpModel::new(
@@ -75,12 +81,7 @@ fn prepare_demo(dir: &str) {
     )
     .expect("demo factors");
     let x = truth.reconstruct_dense();
-    let config = TwoPcpConfig::builder()
-        .rank(4)
-        .parts(vec![2])
-        .seed(7)
-        .build()
-        .unwrap_or_else(|e| fail(format!("config: {e}")));
+    let config = env.apply(TwoPcpConfig::new(4)).parts(vec![2]).seed(7);
     let outcome = TwoPcp::new(config.clone())
         .decompose_dense(&x)
         .unwrap_or_else(|e| fail(format!("decompose: {e}")));
@@ -99,9 +100,10 @@ fn prepare_demo(dir: &str) {
 }
 
 /// One query of every opcode; with `verify`, answers are checked bitwise
-/// against the same [`Model`] loaded in-process.
-fn run_smoke(client: &mut Client, verify: Option<&str>) {
-    let local = verify.map(|p| Model::load(p).unwrap_or_else(|e| fail(format!("load {p}: {e}"))));
+/// against the same [`Model`] loaded in-process (mapped when `mmap`).
+fn run_smoke(client: &mut Client, verify: Option<&str>, mmap: bool) {
+    let local = verify
+        .map(|p| Model::load_with(p, mmap).unwrap_or_else(|e| fail(format!("load {p}: {e}"))));
 
     client.ping().unwrap_or_else(|e| fail(format!("PING: {e}")));
     let models = client

@@ -4,18 +4,34 @@
 //! tpcp-serve --models DIR [--addr HOST:PORT] [--max-sessions N] [--cache N]
 //! ```
 //!
-//! The address defaults to `TPCP_SERVE_ADDR`, then `127.0.0.1:7171`.
+//! The address defaults to `TPCP_SERVE_ADDR`, then `127.0.0.1:7171`;
+//! `TPCP_MMAP=1` serves the models from shared memory maps. A malformed
+//! `TPCP_*` value or flag value exits with status 2 before binding.
 //! SIGHUP (or the RELOAD opcode) rescans the model directory; the
 //! SHUTDOWN opcode stops the daemon cleanly.
 
-use tpcp_serve::{ServeOptions, Server};
+use std::str::FromStr;
+use std::sync::Arc;
+use tpcp_serve::{ModelRegistry, ServeOptions, Server};
+use twopcp::EnvOverrides;
 
 fn usage() -> ! {
     eprintln!("usage: tpcp-serve --models DIR [--addr HOST:PORT] [--max-sessions N] [--cache N]");
     std::process::exit(2);
 }
 
+/// Parses `flag`'s `value`, or explains why it does not parse.
+fn parse_flag<T: FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("invalid value {value:?} for {flag}"))
+}
+
 fn main() {
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
+        eprintln!("tpcp-serve: {e}");
+        std::process::exit(2);
+    });
     let mut args = std::env::args().skip(1);
     let mut models: Option<String> = None;
     let mut addr: Option<String> = None;
@@ -28,11 +44,17 @@ fn main() {
                 usage()
             })
         };
+        let mut number = |name: &str| {
+            parse_flag(name, &value(name)).unwrap_or_else(|e| {
+                eprintln!("tpcp-serve: {e}");
+                usage()
+            })
+        };
         match arg.as_str() {
             "--models" => models = Some(value("--models")),
             "--addr" => addr = Some(value("--addr")),
-            "--max-sessions" => max_sessions = value("--max-sessions").parse().ok(),
-            "--cache" => cache = value("--cache").parse().ok(),
+            "--max-sessions" => max_sessions = Some(number("--max-sessions")),
+            "--cache" => cache = Some(number("--cache")),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("tpcp-serve: unknown flag {other:?}");
@@ -46,7 +68,7 @@ fn main() {
     };
 
     let mut opts = ServeOptions::new(&models);
-    if let Some(a) = addr {
+    if let Some(a) = addr.or(env.serve_addr) {
         opts.addr = a;
     }
     if let Some(n) = max_sessions {
@@ -56,7 +78,14 @@ fn main() {
         opts.cache_capacity = n;
     }
 
-    let server = match Server::start(opts) {
+    let registry = match ModelRegistry::open_with(&models, env.mmap.unwrap_or(false)) {
+        Ok(r) => Arc::new(r),
+        Err(e) => {
+            eprintln!("tpcp-serve: failed to start: {e}");
+            std::process::exit(1);
+        }
+    };
+    let server = match Server::start_with_registry(opts, registry) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("tpcp-serve: failed to start: {e}");
@@ -81,4 +110,21 @@ fn main() {
         std::process::exit(1);
     }
     println!("tpcp-serve: shut down cleanly");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_flag;
+
+    #[test]
+    fn flag_values_parse_strictly() {
+        assert_eq!(parse_flag::<usize>("--cache", "16"), Ok(16));
+        let err = parse_flag::<usize>("--max-sessions", "many").unwrap_err();
+        assert!(
+            err.contains("--max-sessions") && err.contains("\"many\""),
+            "{err}"
+        );
+        assert!(parse_flag::<usize>("--cache", "-1").is_err());
+        assert!(parse_flag::<usize>("--cache", "").is_err());
+    }
 }

@@ -33,12 +33,16 @@ pub type Snapshot = Arc<HashMap<String, Arc<ModelEntry>>>;
 /// Directory-backed registry of served models.
 pub struct ModelRegistry {
     dir: PathBuf,
+    /// Whether loads (startup and every reload) map the containers
+    /// ([`Model::load_with`]).
+    mmap: bool,
     inner: RwLock<Snapshot>,
     generation: AtomicU64,
 }
 
 impl ModelRegistry {
-    /// Opens a registry over `dir`, loading every `*.2pcpm` inside.
+    /// Opens a registry over `dir`, loading every `*.2pcpm` inside as
+    /// owned models.
     ///
     /// # Errors
     /// I/O failure listing the directory, or a container that fails to
@@ -47,8 +51,19 @@ impl ModelRegistry {
     ///
     /// [`reload`]: ModelRegistry::reload
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, String> {
+        Self::open_with(dir, false)
+    }
+
+    /// [`ModelRegistry::open`] with the model transport explicit: with
+    /// `mmap` on, every load (this one and each reload) serves the
+    /// factors zero-copy from one shared map per container.
+    ///
+    /// # Errors
+    /// As [`ModelRegistry::open`].
+    pub fn open_with(dir: impl AsRef<Path>, mmap: bool) -> Result<Self, String> {
         let reg = ModelRegistry {
             dir: dir.as_ref().to_path_buf(),
+            mmap,
             inner: RwLock::new(Arc::new(HashMap::new())),
             generation: AtomicU64::new(0),
         };
@@ -96,7 +111,7 @@ impl ModelRegistry {
             let Some(name) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
-            match Model::load(&path) {
+            match Model::load_with(&path, self.mmap) {
                 Ok(model) => {
                     map.insert(
                         name.to_string(),

@@ -44,7 +44,8 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Default listen address when neither flag nor `TPCP_SERVE_ADDR` is set.
+/// Default listen address ([`ServeOptions::new`]); the daemon lets
+/// `TPCP_SERVE_ADDR` and `--addr` override it.
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
 /// How long an idle session waits between shutdown-flag checks.
@@ -70,13 +71,10 @@ pub struct ServeOptions {
 }
 
 impl ServeOptions {
-    /// Defaults: `TPCP_SERVE_ADDR` (via [`twopcp::EnvOverrides`]) or
-    /// [`DEFAULT_ADDR`], 64 sessions, 1024 cached responses.
+    /// Defaults: [`DEFAULT_ADDR`], 64 sessions, 1024 cached responses.
     pub fn new(models_dir: impl Into<PathBuf>) -> Self {
         ServeOptions {
-            addr: twopcp::EnvOverrides::from_env()
-                .serve_addr
-                .unwrap_or_else(|| DEFAULT_ADDR.to_string()),
+            addr: DEFAULT_ADDR.to_string(),
             models_dir: models_dir.into(),
             max_sessions: 64,
             cache_capacity: 1024,

@@ -1,11 +1,8 @@
-//! Shared-mmap residency end-to-end: with `TPCP_MMAP=1` the registry
-//! serves factors straight out of one mapped container per model
-//! version. A RELOAD hot swap must never munmap under a pinned reader —
+//! Shared-mmap residency end-to-end: a registry opened with mmap on
+//! (`tpcp-serve` under `TPCP_MMAP=1`) serves factors straight out of one
+//! mapped container per model version. A RELOAD hot swap must never munmap under a pinned reader —
 //! sessions that pinned the old generation keep answering bitwise off
 //! the old map until they drop, while new sessions get the new map.
-//!
-//! Lives in its own test binary because the mmap default is read from
-//! the environment at model-load time.
 
 use std::sync::Arc;
 use tpcp_cp::CpModel;
@@ -48,9 +45,6 @@ impl Drop for DirGuard {
 
 #[test]
 fn shared_mmap_residency_survives_reload_with_pinned_sessions() {
-    // Force the mmap load path for every registry load in this process.
-    std::env::set_var("TPCP_MMAP", "1");
-
     let dir = std::env::temp_dir().join(format!("tpcp_mmap_it_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
@@ -61,12 +55,12 @@ fn shared_mmap_residency_survives_reload_with_pinned_sessions() {
     v1.save(dir.join("demo.2pcpm")).unwrap();
 
     // Sanity: the registry really did map the container.
-    let registry = Arc::new(ModelRegistry::open(&dir).unwrap());
+    let registry = Arc::new(ModelRegistry::open_with(&dir, true).unwrap());
     let snap = registry.snapshot();
     assert_eq!(
         snap["demo"].model.residency(),
         Residency::Mapped,
-        "TPCP_MMAP=1 load must be mmap-resident"
+        "an mmap registry load must be mmap-resident"
     );
 
     let mut opts = ServeOptions::new(&dir);

@@ -15,7 +15,7 @@
 //!   units packed into one append-only, crash-tolerant container file —
 //!   the layout of a chunked array store), [`MemStore`], and
 //!   [`ShardedStore`] — a router that spreads the unit space across `S`
-//!   backing shards (`TPCP_SHARDS`) with aggregated byte counters;
+//!   backing shards with aggregated byte counters;
 //! * [`BufferPool`] — a byte-budgeted cache over a store with pluggable
 //!   [`ReplacementPolicy`]: LRU, MRU and the paper's forward-looking (FOR)
 //!   schedule-aware policy (§VII), plus pinning so a step's working set
@@ -30,8 +30,8 @@
 //!   disk reads overlap compute instead of blocking it. Prefetch moves
 //!   bytes, never values — results and swap counts are bit-identical with
 //!   the pipeline on or off;
-//! * the zero-copy read path ([`mmap_auto`] / `TPCP_MMAP`,
-//!   [`DiskStore::set_mmap`], [`SingleFileStore::set_mmap`]): mmap-backed
+//! * the zero-copy read path ([`DiskStore::open_with`],
+//!   [`SingleFileStore::open_with`] and their `set_mmap`): mmap-backed
 //!   stores hand the codec (and, via [`UnitStore::read_slab`], the buffer
 //!   pool) borrowed page views straight out of the page cache, so a
 //!   resident unit materialises with exactly one copy — map → `Mat`.
@@ -49,11 +49,11 @@ mod store;
 
 pub use buffer::{capacity_for_fraction, BufferPool};
 pub use policy::{ForwardPolicy, LruPolicy, MruPolicy, PolicyKind, ReplacementPolicy};
-pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource, PREFETCH_ENV_VAR};
-pub use sharded::{shard_of, shards_auto, ShardedStore, SHARDS_ENV_VAR};
+pub use prefetch::{PrefetchConfig, PrefetchRead, PrefetchSource};
+pub use sharded::{shard_of, ShardedStore};
 pub use single_file::SingleFileStore;
 pub use stats::IoStats;
-pub use store::{mmap_auto, DiskStore, MemStore, PageRead, UnitData, UnitStore, MMAP_ENV_VAR};
+pub use store::{DiskStore, MemStore, PageRead, UnitData, UnitStore};
 
 use tpcp_schedule::UnitId;
 

@@ -16,8 +16,7 @@
 //!   [`tpcp_par::Background`] worker that reads and decodes units, and a
 //!   bounded staging channel back (the bound is the pipeline depth, so a
 //!   stalled consumer exerts backpressure instead of accumulating pages);
-//! * [`PrefetchConfig`] — depth/enable knobs, with a `TPCP_PREFETCH`
-//!   environment override for ablations and CI.
+//! * [`PrefetchConfig`] — depth/enable knobs.
 //!
 //! **Prefetch moves bytes, never values.** Admission control lives in the
 //! buffer pool: staged pages are tagged with the unit's *write epoch* at
@@ -59,11 +58,6 @@ pub trait PrefetchSource {
     fn prefetch_reader(&self) -> Option<Box<dyn PrefetchRead>>;
 }
 
-/// Name of the environment variable overriding the prefetch pipeline:
-/// `0` / `off` / `false` disables it, a positive integer enables it with
-/// that pipeline depth. Anything else is ignored.
-pub const PREFETCH_ENV_VAR: &str = "TPCP_PREFETCH";
-
 /// Configuration of the asynchronous prefetch pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefetchConfig {
@@ -76,24 +70,6 @@ pub struct PrefetchConfig {
 }
 
 impl PrefetchConfig {
-    /// The default pipeline: enabled, depth 4, unless `TPCP_PREFETCH`
-    /// says otherwise.
-    pub fn auto() -> Self {
-        match std::env::var(PREFETCH_ENV_VAR) {
-            Ok(v) => {
-                let v = v.trim();
-                if matches!(v.to_ascii_lowercase().as_str(), "0" | "off" | "false") {
-                    PrefetchConfig::disabled()
-                } else if let Ok(depth) = v.parse::<usize>() {
-                    PrefetchConfig::with_depth(depth)
-                } else {
-                    PrefetchConfig::default()
-                }
-            }
-            Err(_) => PrefetchConfig::default(),
-        }
-    }
-
     /// An enabled pipeline of the given depth (`0` disables).
     pub fn with_depth(depth: usize) -> Self {
         PrefetchConfig {

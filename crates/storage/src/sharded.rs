@@ -5,30 +5,14 @@
 //! [`ShardedStore`] splits the unit space across `S` backing stores with a
 //! stable hash, so Phase 1 can emit units shard-by-shard and Phase 2 reads
 //! route transparently. Sharding moves bytes, never values: a sharded run
-//! is bit-identical to a single-store run (CI-enforced via the
-//! `TPCP_SHARDS` test leg and the sharded-equivalence proptests).
+//! is bit-identical to a single-store run (pinned by the
+//! sharded-equivalence proptests and `tests/config_matrix.rs`).
 
 use crate::prefetch::{PrefetchRead, PrefetchSource};
 use crate::store::{DiskStore, MemStore, PageRead, UnitData, UnitStore};
 use crate::{Result, SingleFileStore};
 use std::path::Path;
 use tpcp_schedule::UnitId;
-
-/// Name of the environment variable overriding the unit-store shard count
-/// (a positive integer; `0`, absent or unparsable means 1 shard).
-pub const SHARDS_ENV_VAR: &str = "TPCP_SHARDS";
-
-/// The automatic shard count: `TPCP_SHARDS` when set to a positive
-/// integer, otherwise 1 (unsharded).
-pub fn shards_auto() -> usize {
-    match std::env::var(SHARDS_ENV_VAR) {
-        Ok(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => 1,
-        },
-        Err(_) => 1,
-    }
-}
 
 /// Stable shard assignment of a unit: FNV-1a over `(mode, part)` modulo
 /// the shard count. Deterministic across runs and platforms, so a store
@@ -342,20 +326,5 @@ mod tests {
             s.read(UnitId::new(0, 0)),
             Err(StorageError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn shards_auto_defaults_to_one() {
-        // The test harness does not set TPCP_SHARDS for this assertion to
-        // be meaningful under the default CI leg; under the TPCP_SHARDS=3
-        // leg it still must parse to the override.
-        let n = shards_auto();
-        match std::env::var(SHARDS_ENV_VAR) {
-            Ok(v) => match v.trim().parse::<usize>() {
-                Ok(k) if k > 0 => assert_eq!(n, k),
-                _ => assert_eq!(n, 1),
-            },
-            Err(_) => assert_eq!(n, 1),
-        }
     }
 }

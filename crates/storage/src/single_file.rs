@@ -18,7 +18,7 @@
 //! rewrites the file without dead pages.
 
 use crate::prefetch::{PrefetchRead, PrefetchSource};
-use crate::store::{mmap_auto, PageRead, UnitData, UnitStore};
+use crate::store::{PageRead, UnitData, UnitStore};
 use crate::{codec, Result, StorageError};
 use memmap2::{Mmap, MmapOptions};
 use std::collections::HashMap;
@@ -56,13 +56,13 @@ type SharedIndex = Arc<RwLock<HashMap<UnitId, PageRef>>>;
 
 /// All units in one append-only, checksummed container file.
 ///
-/// With mmap enabled ([`SingleFileStore::set_mmap`],
-/// [`crate::mmap_auto`]), reads decode directly from a shared memory map
-/// of the container — no seek, no scratch-buffer copy — remapped lazily
-/// whenever the live index references a page beyond the mapped length
-/// (the container only ever grows, and committed pages never move, so a
-/// map stays valid for every offset it covers until a compaction replaces
-/// the file outright).
+/// With mmap enabled ([`SingleFileStore::open_with`],
+/// [`SingleFileStore::set_mmap`]), reads decode directly from a shared
+/// memory map of the container — no seek, no scratch-buffer copy — remapped
+/// lazily whenever the live index references a page beyond the mapped
+/// length (the container only ever grows, and committed pages never move,
+/// so a map stays valid for every offset it covers until a compaction
+/// replaces the file outright).
 pub struct SingleFileStore {
     path: PathBuf,
     file: File,
@@ -91,12 +91,13 @@ fn align_up(v: u64) -> u64 {
 
 impl SingleFileStore {
     /// Opens (creating if needed) the container at `path`, rebuilding the
-    /// live-page index by scanning existing pages.
+    /// live-page index by scanning existing pages, with the buffered read
+    /// path.
     ///
     /// # Errors
     /// I/O failures; [`StorageError::Corrupt`] for a bad file header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with(path, mmap_auto())
+        Self::open_with(path, false)
     }
 
     /// Opens the container at `path` with the mmap read path explicitly

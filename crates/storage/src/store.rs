@@ -10,25 +10,6 @@ use std::path::{Path, PathBuf};
 use tpcp_linalg::Mat;
 use tpcp_schedule::UnitId;
 
-/// Name of the environment variable enabling mmap-backed page reads
-/// process-wide (`1` / `on` / `true` / `yes`; anything else — or absence —
-/// leaves the buffered scratch-copy read path in place).
-pub const MMAP_ENV_VAR: &str = "TPCP_MMAP";
-
-/// The automatic mmap setting: `TPCP_MMAP` when set to an affirmative
-/// value, otherwise off. Stores opened without an explicit flag start
-/// here, so a `TPCP_MMAP=1` test leg exercises the zero-copy read path
-/// across the whole workspace.
-pub fn mmap_auto() -> bool {
-    match std::env::var(MMAP_ENV_VAR) {
-        Ok(v) => matches!(
-            v.trim().to_ascii_lowercase().as_str(),
-            "1" | "on" | "true" | "yes"
-        ),
-        Err(_) => false,
-    }
-}
-
 /// Result of [`UnitStore::read_slab`]: either the decoded unit (the
 /// classic owned path) or a borrowed, still-encoded page slab that the
 /// caller decodes itself. Mmap-backed stores return `Borrowed` views
@@ -367,10 +348,11 @@ fn read_cached(
 /// `inject_*_failures` knobs let tests exercise error paths
 /// deterministically.
 ///
-/// With mmap enabled ([`DiskStore::set_mmap`], [`mmap_auto`]), reads
-/// decode directly from a memory map of the page file — no scratch-buffer
-/// copy — and [`UnitStore::read_slab`] hands the raw mapped page to the
-/// caller so the buffer pool can decode it straight into residency.
+/// With mmap enabled ([`DiskStore::open_with`], [`DiskStore::set_mmap`]),
+/// reads decode directly from a memory map of the page file — no
+/// scratch-buffer copy — and [`UnitStore::read_slab`] hands the raw mapped
+/// page to the caller so the buffer pool can decode it straight into
+/// residency.
 pub struct DiskStore {
     dir: PathBuf,
     bytes_written: u64,
@@ -388,12 +370,12 @@ pub struct DiskStore {
 
 impl DiskStore {
     /// Opens (creating if needed) a store rooted at `dir`, with the
-    /// mmap read path per [`mmap_auto`] (the `TPCP_MMAP` override).
+    /// buffered read path.
     ///
     /// # Errors
     /// I/O failure creating the directory.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with(dir, mmap_auto())
+        Self::open_with(dir, false)
     }
 
     /// Opens (creating if needed) a store rooted at `dir`, with the mmap

@@ -11,9 +11,13 @@
 //! ```
 
 use tpcp_datasets::ensemble_like;
-use twopcp::{TwoPcp, TwoPcpConfig};
+use twopcp::{EnvOverrides, TwoPcp, TwoPcpConfig};
 
 fn main() {
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     // Three swept parameters (say: temperature, pressure, humidity), each
     // sampled at 24 points; the cell holds the simulation output.
     let params = ["temperature", "pressure", "humidity"];
@@ -25,7 +29,7 @@ fn main() {
     );
 
     let outcome = TwoPcp::new(
-        TwoPcpConfig::new(3)
+        env.apply(TwoPcpConfig::new(3))
             .parts(vec![2])
             .max_virtual_iters(60)
             .tol(1e-4)

@@ -11,9 +11,13 @@ use tpcp_datasets::{dense_uniform, ModelBlockSource};
 use tpcp_partition::{write_raw_from_source, FileTensorSource, Grid};
 use tpcp_schedule::ScheduleKind;
 use tpcp_storage::PolicyKind;
-use twopcp::{TwoPcp, TwoPcpConfig};
+use twopcp::{EnvOverrides, TwoPcp, TwoPcpConfig};
 
 fn main() {
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     // A 48³ tensor of density 0.49 — the Table II workload, scaled down.
     let x = dense_uniform(&[48, 48, 48], 0.49, 7);
     let scratch = std::env::temp_dir().join(format!("tpcp_example_ooc_{}", std::process::id()));
@@ -28,7 +32,8 @@ fn main() {
         "policy", "swaps", "hits", "bytes read", "written", "stall ms", "pf hits", "fit"
     );
     for policy in PolicyKind::ALL {
-        let config = TwoPcpConfig::new(8)
+        let config = env
+            .apply(TwoPcpConfig::new(8))
             .parts(vec![4])
             .schedule(ScheduleKind::HilbertOrder)
             .policy(policy)
@@ -71,7 +76,7 @@ fn main() {
 
     let mut src = FileTensorSource::open(&raw).expect("opening the raw tensor file");
     let outcome = TwoPcp::new(
-        TwoPcpConfig::new(rank)
+        env.apply(TwoPcpConfig::new(rank))
             .parts(vec![2])
             .buffer_fraction(0.5)
             .max_virtual_iters(20)

@@ -5,9 +5,14 @@
 //! ```
 
 use tpcp_datasets::low_rank_dense;
-use twopcp::{TwoPcp, TwoPcpConfig};
+use twopcp::{EnvOverrides, TwoPcp, TwoPcpConfig};
 
 fn main() {
+    // `TPCP_*` knobs (README, "Environment variables") set the defaults.
+    let env = EnvOverrides::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    });
     // A 32×32×32 dense tensor with hidden rank-4 structure plus noise.
     let x = low_rank_dense(&[32, 32, 32], 4, 0.05, 42);
     println!(
@@ -20,15 +25,9 @@ fn main() {
     // Rank-4 decomposition over a 2×2×2 block grid. With the default
     // in-memory store and a full-size buffer this is the "everything
     // fits" configuration; see the `out_of_core` example for the
-    // disk-backed one. The builder validates the settings up front
-    // (zero rank, empty grids and the like are rejected here, not
-    // deep inside phase 1).
-    let config = TwoPcpConfig::builder()
-        .rank(4)
-        .parts(vec![2])
-        .seed(1)
-        .build()
-        .expect("invalid configuration");
+    // disk-backed one. Invalid settings (zero rank, empty grids and the
+    // like) come back as a config error before phase 1 starts.
+    let config = env.apply(TwoPcpConfig::new(4)).parts(vec![2]).seed(1);
     let outcome = TwoPcp::new(config)
         .decompose_dense(&x)
         .expect("decomposition failed");

@@ -13,10 +13,7 @@ const RANK: usize = 2;
 const SEED: u64 = 17;
 
 fn cfg() -> TwoPcpConfig {
-    // This suite pins the two-phase streaming machinery (pass counts,
-    // unit stores, mapreduce counters); opt out of TPCP_COMPRESS=1.
     TwoPcpConfig::new(RANK)
-        .compress_off()
         .parts(vec![2])
         .max_virtual_iters(10)
         .tol(1e-4)

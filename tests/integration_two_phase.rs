@@ -47,9 +47,7 @@ fn two_phase_matches_direct_als_fit() {
 #[test]
 fn disk_and_memory_stores_agree_bitwise() {
     let x = ensemble_like(&[12, 12, 12], 2, 0.05, 9);
-    // Pins the storage/refine machinery; opt out of TPCP_COMPRESS=1.
     let base = TwoPcpConfig::new(2)
-        .compress_off()
         .parts(vec![2])
         .schedule(ScheduleKind::HilbertOrder)
         .policy(PolicyKind::Forward)
@@ -86,9 +84,7 @@ fn mapreduce_phase1_agrees_with_threads() {
     let dir = std::env::temp_dir().join(format!("tpcp_it_mr_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // Pins the MapReduce phase-1 substrate; opt out of TPCP_COMPRESS=1.
     let base = TwoPcpConfig::new(2)
-        .compress_off()
         .parts(vec![2])
         .max_virtual_iters(20)
         .tol(1e-6)
@@ -209,7 +205,6 @@ fn pipeline_is_thread_invariant_across_the_grain() {
     for (dims, rank, parts) in [fine, coarse] {
         let cfg = |threads: usize| {
             TwoPcpConfig::new(rank)
-                .compress_off()
                 .parts(vec![parts])
                 .phase1(Phase1Options::default().max_iters(2))
                 .max_virtual_iters(2)

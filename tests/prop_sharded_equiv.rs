@@ -28,10 +28,7 @@ fn assert_bitwise_equal(a: &TwoPcpOutcome, b: &TwoPcpOutcome) {
 }
 
 fn base_cfg(rank: usize, parts: usize, seed: u64) -> TwoPcpConfig {
-    // This suite pins sharded phase-1/phase-2 machinery; opt out of
-    // TPCP_COMPRESS=1.
     TwoPcpConfig::new(rank)
-        .compress_off()
         .parts(vec![parts])
         .buffer_fraction(0.5)
         .max_virtual_iters(8)
